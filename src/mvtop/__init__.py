@@ -44,6 +44,7 @@ from .topology import (
     MetricInstance,
     Topology,
     base_from_subbase,
+    base_witness,
     check_hausdorff,
     clopens,
     closed_sets,

@@ -40,6 +40,7 @@ from .suites import SUITES, render_report, run_suite
 from .topology import (
     DEFAULT_MAX_OPENS,
     Topology,
+    base_witness,
     check_hausdorff,
     clopens,
     generate_from_subbase,
@@ -85,6 +86,17 @@ def _topology_from(doc: SpaceDocument, what: str) -> Topology:
     return Topology(doc.carrier, doc.chain, doc.family)
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for caps and case counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _emit(obj: dict) -> None:
     sys.stdout.write(dumps_canonical(obj))
 
@@ -99,18 +111,6 @@ def _cmd_gen(args) -> int:
     out = SpaceDocument(doc.chain, doc.carrier, "opens", topology.opens, doc.name, doc.caps)
     _emit(space_document_to_obj(out))
     return 0
-
-
-def _zerodim_witness(topology: Topology) -> list[int] | None:
-    clo = clopens(topology)
-    for o in topology.opens:
-        acc = topology.zero
-        for c in clo:
-            if c.leq(o):
-                acc = acc.join(c)
-        if acc != o:
-            return list(o.values)
-    return None
 
 
 def _large_subbase_witness(family: FuzzyFamily) -> dict | None:
@@ -182,9 +182,10 @@ def _cmd_check(args) -> int:
                     "pair": [topology.carrier.label(x), topology.carrier.label(y)]
                 }
         elif kind == "zerodim":
-            report["verdict"] = is_zero_dimensional(topology)
-            if not report["verdict"]:
-                report["witness"] = _zerodim_witness(topology)
+            witness = base_witness(clopens(topology), topology)
+            report["verdict"] = witness is None
+            if witness is not None:
+                report["witness"] = list(witness.values)
         elif kind == "stone":
             compact = is_compact(topology)
             hausdorff = check_hausdorff(topology).hausdorff
@@ -296,36 +297,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a topology from a subbase document")
     add_input(p)
-    p.add_argument("--max-opens", type=int, default=None, help="opens size cap")
+    p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="decide a property of a space document")
     p.add_argument("kind", choices=CHECK_KINDS)
     add_input(p)
     p.add_argument("--oracle", action="store_true", help="force brute-force compactness")
-    p.add_argument("--max-opens", type=int, default=None, help="oracle opens cap")
+    p.add_argument("--max-opens", type=_positive_int, default=None, help="oracle opens cap")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("product", help="build the product of space documents")
     p.add_argument("inputs", nargs="+", help="factor space documents")
     p.add_argument("--subbase-only", action="store_true", help="emit the canonical subbase")
-    p.add_argument("--max-opens", type=int, default=None, help="opens size cap")
+    p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("mincover", help="least-total additive cover of a family document")
     add_input(p)
-    p.add_argument("--max-nodes", type=int, default=None, help="solver node cap")
+    p.add_argument("--max-nodes", type=_positive_int, default=None, help="solver node cap")
     p.set_defaults(func=_cmd_mincover)
 
     p = sub.add_parser("subcover", help="smallest covering subfamily of a family document")
     add_input(p)
-    p.add_argument("--max-nodes", type=int, default=None, help="solver node cap")
+    p.add_argument("--max-nodes", type=_positive_int, default=None, help="solver node cap")
     p.set_defaults(func=_cmd_subcover)
 
     p = sub.add_parser("metric", help="build the topology induced by a metric document")
     add_input(p)
     p.add_argument("--subbase-only", action="store_true", help="emit the ball family")
-    p.add_argument("--max-opens", type=int, default=None, help="opens size cap")
+    p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("continuity", help="check a map document for continuity")
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a randomized verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=20)
+    p.add_argument("--cases", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -3,6 +3,11 @@
 The value scale is the chain 0, 1/n, ..., 1, stored as the integers 0..n so that
 every operation stays exact and every predicate is decidable.  Fuzzy sets,
 families, and point maps are immutable; all operations are pure.
+
+`FuzzySet` is the boundary: it validates every value it is built from, and its
+operations check their operands.  `Lanes` is the compute representation for
+hot scans: a whole value vector packed into one int, with lane-wise operations
+that trust their operands because they only ever see validated values.
 """
 
 from __future__ import annotations
@@ -196,6 +201,69 @@ class FuzzySet:
     def is_crisp(self) -> bool:
         n = self.chain.n
         return all(v == 0 or v == n for v in self.values)
+
+
+class Lanes:
+    """The value vectors of one carrier size and chain, packed into single ints.
+
+    This is the package's compute representation (SWAR: several lanes share one
+    machine word, Lamport 1975).  Point i owns lane i, lane 0 the most
+    significant, so int order is the canonical lexicographic order of value
+    vectors.  A lane holds a value 0..n below one guard bit, and is wide enough
+    that a lane-wise sum of two values never carries into the next lane.  The
+    operations trust their operands: values are validated where they enter, by
+    `FuzzySet`, and a packed result converts back to a `FuzzySet` only once.
+    """
+
+    __slots__ = ("size", "width", "shift", "guard", "top")
+
+    def __init__(self, size: int, n: int):
+        width = (2 * n).bit_length() + 1
+        low = ((1 << width * size) - 1) // ((1 << width) - 1)  # lowest bit of every lane
+        self.size = size
+        self.width = width
+        self.shift = width - 1
+        self.guard = low << self.shift
+        self.top = low * n
+
+    def pack(self, values: Iterable[int]) -> int:
+        x = 0
+        for v in values:
+            x = x << self.width | v
+        return x
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        mask = (1 << self.shift) - 1
+        w = self.width
+        return tuple(x >> s & mask for s in range(w * (self.size - 1), -1, -w))
+
+    # Each op below sets the guard bits of (a | guard) - b: a lane keeps its
+    # guard bit iff a >= b there, and g - (g >> shift) widens the kept guard
+    # bits into lane-wide select masks.
+
+    def oplus(self, a: int, b: int) -> int:
+        """Lane-wise min(a + b, n)."""
+        s = a + b
+        g = ((s | self.guard) - self.top) & self.guard
+        return s ^ ((s ^ self.top) & (g - (g >> self.shift)))
+
+    def odot(self, a: int, b: int) -> int:
+        """Lane-wise max(a + b - n, 0)."""
+        d = ((a + b) | self.guard) - self.top
+        g = d & self.guard
+        return d & (g - (g >> self.shift))
+
+    def meet(self, a: int, b: int) -> int:
+        g = ((a | self.guard) - b) & self.guard
+        return a ^ ((a ^ b) & (g - (g >> self.shift)))
+
+    def join(self, a: int, b: int) -> int:
+        g = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (g - (g >> self.shift)))
+
+    def leq(self, a: int, b: int) -> bool:
+        """True iff a <= b in every lane."""
+        return ((b | self.guard) - a) & self.guard == self.guard
 
 
 @dataclass(frozen=True)

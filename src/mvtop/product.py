@@ -9,7 +9,6 @@ lazily because the opens count grows multiplicatively.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,15 +52,13 @@ class ProductSpace:
                 for alpha in f.opens
             ),
         )
-        self._lock = threading.Lock()
         self._topology: Topology | None = None
 
     def topology(self) -> Topology:
-        """Generate the product topology once; concurrent readers share it."""
-        with self._lock:
-            if self._topology is None:
-                self._topology = generate_from_subbase(self.subbase, max_size=self.max_opens)
-            return self._topology
+        """Generate the product topology on first use; later calls return the same object."""
+        if self._topology is None:
+            self._topology = generate_from_subbase(self.subbase, max_size=self.max_opens)
+        return self._topology
 
     def index_of(self, coordinate: tuple[int, ...]) -> int:
         stride = 1

@@ -3,17 +3,21 @@
 Topologies are stored extensionally (the full family of opens), so every
 predicate is a finite scan.  Generation is a fixpoint closure guarded by a
 configurable size cap.
+
+The hot scans (closure, the topology check and the base check) pack their
+fuzzy sets into `core.Lanes` ints once, compute on those, and turn results
+back into `FuzzySet`s only at the end; their inputs were validated when they
+were built.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import covers as _covers
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Lanes
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_MAX_OPENS = 20_000
@@ -66,38 +70,38 @@ def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
     return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
 
 
-def _closure(
-    start: FuzzyFamily,
-    ops: Sequence[Callable[[FuzzySet, FuzzySet], FuzzySet]],
-    max_size: int,
-    what: str,
-) -> FuzzyFamily:
-    """Least superset of start closed under the given commutative binary ops."""
-    seen: dict[tuple[int, ...], FuzzySet] = {m.values: m for m in start}
-    processed: list[FuzzySet] = []
-    pending = deque(start.members)
-    while pending:
-        x = pending.popleft()
-        processed.append(x)
-        for y in processed:
-            for op in ops:
+def _closure(start: FuzzyFamily, ops: Sequence[str], max_size: int, what: str) -> FuzzyFamily:
+    """Least superset of start closed under the named commutative `Lanes` ops.
+
+    Semi-naive order: each member taken from the queue is combined only with
+    the members taken before it and with itself.
+    """
+    carrier, chain = start.carrier, start.chain
+    lanes = Lanes(carrier.size, chain.n)
+    fns = [getattr(lanes, op) for op in ops]
+    queue = [lanes.pack(m.values) for m in start]
+    seen = set(queue)
+    for i, x in enumerate(queue):
+        for y in queue[: i + 1]:
+            for op in fns:
                 z = op(x, y)
-                if z.values not in seen:
-                    seen[z.values] = z
+                if z not in seen:
+                    seen.add(z)
                     if len(seen) > max_size:
                         raise ResourceLimitError(
                             f"{what} closure exceeded the size cap",
                             limit=max_size,
                             reached=len(seen),
                         )
-                    pending.append(z)
-    return FuzzyFamily.of(start.carrier, start.chain, seen.values())
+                    queue.append(z)
+    return FuzzyFamily.of(
+        carrier, chain, (FuzzySet(carrier, chain, lanes.unpack(z)) for z in queue)
+    )
 
 
 def base_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS) -> FuzzyFamily:
     """Least family containing the subbase and closed under oplus, odot, and meet."""
-    ops = (FuzzySet.oplus, FuzzySet.odot, FuzzySet.meet)
-    return _closure(subbase, ops, max_size, "base")
+    return _closure(subbase, ("oplus", "odot", "meet"), max_size, "base")
 
 
 def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS) -> Topology:
@@ -111,32 +115,30 @@ def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_O
     carrier, chain = subbase.carrier, subbase.chain
     base = base_from_subbase(subbase, max_size=max_size)
     seeded = base.with_members((FuzzySet.zero(carrier, chain), FuzzySet.one(carrier, chain)))
-    opens = _closure(seeded, (FuzzySet.join,), max_size, "topology")
+    opens = _closure(seeded, ("join",), max_size, "topology")
     return Topology(carrier, chain, opens)
 
 
 def topology_violation(family: FuzzyFamily) -> str | None:
     """The first failed closure condition, described, or None when the family
     satisfies all of them."""
-    present = {m.values for m in family.members}
-    zero = FuzzySet.zero(family.carrier, family.chain)
-    one = FuzzySet.one(family.carrier, family.chain)
-    if zero.values not in present:
+    lanes = Lanes(family.carrier.size, family.chain.n)
+    members = [lanes.pack(m.values) for m in family]
+    present = set(members)
+    if 0 not in present:
         return "the zero set is missing"
-    if one.values not in present:
+    if lanes.top not in present:
         return "the unit set is missing"
-    labels = (("oplus", FuzzySet.oplus), ("odot", FuzzySet.odot), ("meet", FuzzySet.meet),
-              ("join", FuzzySet.join))
-    members = family.members
+    ops = [(name, getattr(lanes, name)) for name in ("oplus", "odot", "meet", "join")]
     for i, a in enumerate(members):
         for b in members[i:]:
-            for name, op in labels:
+            for name, op in ops:
                 out = op(a, b)
-                if out.values not in present:
+                if out not in present:
                     # binary joins decide closure under joins of arbitrary subfamilies
                     return (
-                        f"not closed under {name}: {list(a.values)} with {list(b.values)} "
-                        f"gives {list(out.values)}"
+                        f"not closed under {name}: {list(lanes.unpack(a))} with "
+                        f"{list(lanes.unpack(b))} gives {list(lanes.unpack(out))}"
                     )
     return None
 
@@ -146,20 +148,34 @@ def is_topology(family: FuzzyFamily) -> bool:
     return topology_violation(family) is None
 
 
+def base_witness(candidate: FuzzyFamily, topology: Topology) -> FuzzySet | None:
+    """Why the candidate is not a base of the topology, or None when it is one.
+
+    The witness is the first candidate member that is not open, else the first
+    open, in canonical order, that is not the join of the candidate members
+    below it.
+    """
+    opens = set(topology.opens.members)
+    for m in candidate:
+        if m not in opens:
+            return m
+    lanes = Lanes(topology.carrier.size, topology.chain.n)
+    members = [lanes.pack(m.values) for m in candidate]
+    for o in topology.opens:
+        x = lanes.pack(o.values)
+        acc = 0
+        for m in members:
+            if lanes.leq(m, x):
+                acc = lanes.join(acc, m)
+        if acc != x:
+            return o
+    return None
+
+
 def is_base(candidate: FuzzyFamily, topology: Topology) -> bool:
     """True iff the candidate is a subfamily of the opens and every open is a
     join of the candidate members below it."""
-    opens = set(topology.opens.members)
-    if any(m not in opens for m in candidate.members):
-        return False
-    for o in topology.opens.members:
-        acc = FuzzySet.zero(topology.carrier, topology.chain)
-        for theta in candidate.members:
-            if theta.leq(o):
-                acc = acc.join(theta)
-        if acc != o:
-            return False
-    return True
+    return base_witness(candidate, topology) is None
 
 
 def is_subbase(

@@ -5,6 +5,8 @@ import json
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
+import pytest
+
 from mvtop.cli import main
 
 
@@ -108,6 +110,18 @@ def test_check_topology_detects_violations():
     code, out, _ = run_cli(["check", "topology", "-"], doc(bad))
     assert code == 1
     assert "witness" in json.loads(out)
+
+
+def test_check_zerodim_reports_first_open_not_joined_by_clopens():
+    space = {"chain": 2, "points": ["a", "b"], "opens": [[0, 0], [0, 2], [2, 2]]}
+    code, out, _ = run_cli(["check", "zerodim", "-"], doc(space))
+    assert code == 1
+    assert out == (
+        '{\n  "check": "zerodim",\n  "verdict": false,\n  "witness": [\n    0,\n    2\n  ]\n}\n'
+    )
+    code, out, _ = run_cli(["check", "zerodim", "-"], doc(DISCRETE))
+    assert code == 0
+    assert json.loads(out) == {"check": "zerodim", "verdict": True}
 
 
 def test_check_large_subbase():
@@ -290,6 +304,30 @@ def test_verify_is_deterministic_and_passes():
 def test_verify_unknown_suite_exits_2():
     code, _, _ = run_cli(["verify", "nonsense"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--max-opens", "0", "-"],
+        ["gen", "--max-opens", "-1", "-"],
+        ["product", "--max-opens", "0", "-"],
+        ["metric", "--max-opens", "-5", "-"],
+        ["check", "compact", "--oracle", "--max-opens", "0", "-"],
+        ["mincover", "--max-nodes", "0", "-"],
+        ["subcover", "--max-nodes", "-1", "-"],
+        ["verify", "algebra", "--cases", "0"],
+        ["verify", "algebra", "--cases", "-3"],
+    ],
+)
+def test_nonpositive_caps_and_case_counts_are_usage_errors(args):
+    code, out, err = run_cli(args, doc(HALF))
+    assert code == 2
+    assert out == ""
+    flag = next(a for a in args if a.startswith("--max") or a == "--cases")
+    value = args[args.index(flag) + 1]
+    expected = f"error: argument {flag}: must be an integer >= 1, got {value!r}"
+    assert err.splitlines()[-1].endswith(expected)
 
 
 def test_usage_error_exits_2():

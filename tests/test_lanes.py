@@ -1,0 +1,160 @@
+"""The packed-lane kernel against the chain and fuzzy-set operations it replaces."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mvtop import (
+    Carrier,
+    Chain,
+    FuzzyFamily,
+    FuzzySet,
+    base_witness,
+    clopens,
+    generate_from_subbase,
+)
+from mvtop.core import Lanes
+from mvtop.oracles import naive_generate_opens
+from mvtop.topology import topology_violation
+
+
+def edge_vectors(k, n):
+    """Vectors built from 0, n and values whose pairwise sums hit n exactly."""
+    values = sorted({0, 1, n // 2, n - n // 2, n - 1, n})
+    if k <= 2:
+        return list(itertools.product(values, repeat=k))
+    rng = random.Random(k * 1009 + n)
+    return [(0,) * k, (n,) * k] + [tuple(rng.choice(values) for _ in range(k)) for _ in range(40)]
+
+
+def assert_lanes_agree(k, n, vectors):
+    chain = Chain(n)
+    carrier = Carrier(tuple(f"p{i}" for i in range(k)))
+    lanes = Lanes(k, n)
+    ops = (("oplus", chain.add), ("odot", chain.mul), ("meet", chain.meet), ("join", chain.join))
+    for a in vectors:
+        x = lanes.pack(a)
+        assert lanes.unpack(x) == a
+        for b in vectors:
+            y = lanes.pack(b)
+            for name, op in ops:
+                assert lanes.unpack(getattr(lanes, name)(x, y)) == tuple(map(op, a, b)), (name, a, b)
+            expected = FuzzySet(carrier, chain, a).leq(FuzzySet(carrier, chain, b))
+            assert lanes.leq(x, y) is expected
+            assert (x < y) is (a < b)  # int order is the canonical order
+
+
+@pytest.mark.parametrize("k, n", [(1, 1), (3, 1), (1, 1000), (2, 1000), (4, 1000), (2, 4), (5, 3)])
+def test_lane_ops_match_chain_ops_at_the_edges(k, n):
+    assert_lanes_agree(k, n, edge_vectors(k, n))
+
+
+@given(st.data())
+def test_lane_ops_match_chain_ops_on_random_vectors(data):
+    n = data.draw(st.integers(1, 1000))
+    k = data.draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(0, n)] * k)
+    assert_lanes_agree(k, n, data.draw(st.lists(vector, min_size=1, max_size=4)))
+
+
+# -- topology scans against plain fuzzy-set references --------------------------------
+
+
+def reference_violation(family):
+    """The closure check as a direct scan over `FuzzySet` operations."""
+    present = {m.values for m in family.members}
+    if FuzzySet.zero(family.carrier, family.chain).values not in present:
+        return "the zero set is missing"
+    if FuzzySet.one(family.carrier, family.chain).values not in present:
+        return "the unit set is missing"
+    members = family.members
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            for name in ("oplus", "odot", "meet", "join"):
+                out = getattr(a, name)(b)
+                if out.values not in present:
+                    return (
+                        f"not closed under {name}: {list(a.values)} with {list(b.values)} "
+                        f"gives {list(out.values)}"
+                    )
+    return None
+
+
+def reference_base_witness(candidate, topology):
+    opens = set(topology.opens.members)
+    for m in candidate:
+        if m not in opens:
+            return m
+    for o in topology.opens:
+        acc = topology.zero
+        for c in candidate:
+            if c.leq(o):
+                acc = acc.join(c)
+        if acc != o:
+            return o
+    return None
+
+
+def random_topologies(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        chain = Chain(rng.randint(1, 4))
+        carrier = Carrier(tuple("abcd"[: rng.randint(1, 4)]))
+        members = [
+            FuzzySet(carrier, chain, tuple(rng.randint(0, chain.n) for _ in range(carrier.size)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        yield rng, generate_from_subbase(FuzzyFamily.of(carrier, chain, members), max_size=400)
+
+
+def test_violation_on_broken_families_matches_reference_scan():
+    broken = 0
+    for rng, topology in random_topologies(11, 60):
+        members = topology.opens.members
+        assert topology_violation(topology.opens) is None
+        for drop in rng.sample(range(len(members)), min(3, len(members))):
+            kept = members[:drop] + members[drop + 1 :]
+            family = FuzzyFamily.of(topology.carrier, topology.chain, kept)
+            message = topology_violation(family)
+            assert message == reference_violation(family)
+            broken += message is not None
+    assert broken > 100
+
+
+def test_base_witness_matches_reference_scan():
+    witnesses = 0
+    for rng, topology in random_topologies(12, 60):
+        members = topology.opens.members
+        candidates = [
+            clopens(topology),
+            FuzzyFamily.of(topology.carrier, topology.chain, rng.sample(members, len(members) // 2)),
+            FuzzyFamily.of(topology.carrier, topology.chain, members[1:]),
+        ]
+        for candidate in candidates:
+            witness = base_witness(candidate, topology)
+            assert witness == reference_base_witness(candidate, topology)
+            witnesses += witness is not None
+    assert witnesses > 30
+
+
+def test_base_witness_reports_a_candidate_that_is_not_open():
+    topology = generate_from_subbase(FuzzyFamily(Carrier(("a", "b")), Chain(2)))
+    stray = FuzzySet(topology.carrier, topology.chain, (1, 0))
+    candidate = FuzzyFamily.of(topology.carrier, topology.chain, topology.opens.members + (stray,))
+    assert base_witness(candidate, topology) == stray
+
+
+def test_generation_matches_naive_oracle_on_wider_chains():
+    rng = random.Random(29)
+    for _ in range(40):
+        chain = Chain(rng.randint(3, 4))
+        carrier = Carrier(tuple("abc"[: rng.randint(1, 3)]))
+        members = [
+            FuzzySet(carrier, chain, tuple(rng.randint(0, chain.n) for _ in range(carrier.size)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        subbase = FuzzyFamily.of(carrier, chain, members)
+        assert generate_from_subbase(subbase).opens == naive_generate_opens(subbase)
