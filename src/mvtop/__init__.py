@@ -9,8 +9,6 @@ from .core import (
     forward_image,
     is_filter,
     is_ideal,
-    join_family,
-    meet_family,
     mv_preimage,
 )
 from .covers import (
@@ -58,6 +56,7 @@ from .topology import (
     is_subbase,
     is_topology,
     is_zero_dimensional,
+    large_subbase_witness,
     metric_ball_family,
     metric_induced,
     open_ball,

@@ -1,8 +1,9 @@
 """Command-line front end: JSON documents in, verdicts and documents out.
 
 Exit codes: 0 verdict true / all cases pass, 1 verdict false / failure found,
-2 usage or input error, 3 resource cap exceeded.  Output is canonical, so a
-rerun on identical input produces byte-identical bytes.
+2 usage or input error, 3 resource cap exceeded, 4 internal error (an uncaught
+exception, reported in one line).  Output is canonical, so a rerun on identical
+input produces byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import FuzzyFamily
 from .covers import (
+    DEFAULT_MAX_NODES,
     is_compact,
     is_strongly_compact,
     minimal_additive_cover_search,
@@ -44,14 +45,12 @@ from .topology import (
     check_hausdorff,
     clopens,
     generate_from_subbase,
-    is_large_subbase,
     is_zero_dimensional,
+    large_subbase_witness,
     metric_ball_family,
     metric_induced,
     topology_violation,
 )
-
-DEFAULT_MAX_NODES = 1_000_000
 
 CHECK_KINDS = (
     "topology",
@@ -113,20 +112,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _large_subbase_witness(family: FuzzyFamily) -> dict | None:
-    present = {m.values for m in family.members}
-    for m in family.members:
-        for k in range(2, family.chain.n + 1):
-            multiple = m.scaled(k)
-            if multiple.values not in present:
-                return {
-                    "member": list(m.values),
-                    "multiplicity": k,
-                    "missing": list(multiple.values),
-                }
-    return None
-
-
 def _cmd_check(args) -> int:
     doc = _space_document(args.input)
     kind = args.kind
@@ -140,9 +125,15 @@ def _cmd_check(args) -> int:
         if violation is not None:
             report["witness"] = violation
     elif kind == "large-subbase":
-        report["verdict"] = is_large_subbase(doc.family)
-        if not report["verdict"]:
-            report["witness"] = _large_subbase_witness(doc.family)
+        witness = large_subbase_witness(doc.family)
+        report["verdict"] = witness is None
+        if witness is not None:
+            member, k, multiple = witness
+            report["witness"] = {
+                "member": list(member.values),
+                "multiplicity": k,
+                "missing": list(multiple.values),
+            }
     else:
         topology = _topology_from(doc, f"check {kind}")
         if kind in ("compact", "strong-compact"):
@@ -267,7 +258,10 @@ def _cmd_continuity(args) -> int:
     base_dir = None if args.input == "-" else Path(args.input).parent
     doc = parse_map_document(loads_document(_read_input(args.input)), base_dir=base_dir)
     domain = _topology_from(doc.domain, "continuity domain")
-    codomain = _topology_from(doc.codomain, "continuity codomain")
+    if doc.codomain == doc.domain:
+        codomain = domain
+    else:
+        codomain = _topology_from(doc.codomain, "continuity codomain")
     witness = continuity_counterexample(doc.map, domain, codomain)
     report: dict = {"check": "continuity", "verdict": witness is None}
     if witness is not None:
@@ -350,15 +344,16 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
+    except (InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # the contract: no traceback reaches the user
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

@@ -365,14 +365,6 @@ class FuzzyFamily:
         return out
 
 
-def join_family(family: FuzzyFamily) -> FuzzySet:
-    return family.join()
-
-
-def meet_family(family: FuzzyFamily) -> FuzzySet:
-    return family.meet()
-
-
 def mv_preimage(f: PointMap, alpha: FuzzySet) -> FuzzySet:
     """Pull a fuzzy set on the codomain back along f by composition.
 
@@ -396,54 +388,36 @@ def forward_image(f: PointMap, alpha: FuzzySet) -> FuzzySet:
     return FuzzySet(f.codomain, alpha.chain, tuple(out))
 
 
-def _closed_downward(family: FuzzyFamily) -> bool:
-    # Single-step decrements generate the pointwise order, so checking them
-    # one coordinate at a time decides full downward closure.
+def _order_and_op_closed(
+    family: FuzzyFamily, step: int, op: Callable[[FuzzySet, FuzzySet], FuzzySet]
+) -> bool:
+    """Nonempty, closed under single-step moves of one value by step (-1 down,
+    +1 up, within 0..n), and closed under the binary op.
+
+    Single-step moves generate the pointwise order, so checking them one
+    coordinate at a time decides full downward (upward) closure.
+    """
+    if len(family) == 0:
+        return False
     present = {m.values for m in family.members}
     for m in family.members:
         for i, v in enumerate(m.values):
-            if v > 0:
-                lower = m.values[:i] + (v - 1,) + m.values[i + 1 :]
-                if lower not in present:
+            if 0 <= v + step <= family.chain.n:
+                moved = m.values[:i] + (v + step,) + m.values[i + 1 :]
+                if moved not in present:
                     return False
-    return True
-
-
-def _closed_upward(family: FuzzyFamily) -> bool:
-    present = {m.values for m in family.members}
-    n = family.chain.n
-    for m in family.members:
-        for i, v in enumerate(m.values):
-            if v < n:
-                higher = m.values[:i] + (v + 1,) + m.values[i + 1 :]
-                if higher not in present:
-                    return False
+    for a in family.members:
+        for b in family.members:
+            if op(a, b).values not in present:
+                return False
     return True
 
 
 def is_ideal(family: FuzzyFamily) -> bool:
     """True iff the family is nonempty, downward closed, and closed under oplus."""
-    if len(family) == 0:
-        return False
-    if not _closed_downward(family):
-        return False
-    present = {m.values for m in family.members}
-    for a in family.members:
-        for b in family.members:
-            if a.oplus(b).values not in present:
-                return False
-    return True
+    return _order_and_op_closed(family, -1, FuzzySet.oplus)
 
 
 def is_filter(family: FuzzyFamily) -> bool:
     """True iff the family is nonempty, upward closed, and closed under odot."""
-    if len(family) == 0:
-        return False
-    if not _closed_upward(family):
-        return False
-    present = {m.values for m in family.members}
-    for a in family.members:
-        for b in family.members:
-            if a.odot(b).values not in present:
-                return False
-    return True
+    return _order_and_op_closed(family, 1, FuzzySet.odot)

@@ -18,7 +18,7 @@ from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap
 from .errors import InputError
 from .topology import FuzzyPoint, MetricInstance
 
-_CAP_KEYS = {"max_opens", "max_nodes"}
+_CAP_KEYS = {"max_opens"}
 
 
 def _require_int(value: Any, what: str) -> int:

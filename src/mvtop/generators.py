@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap
 from .covers import Term
+from .errors import ResourceLimitError
 from .product import ProductSpace, product
 from .topology import (
     Topology,
@@ -68,6 +69,15 @@ def random_point_map(rng: random.Random, domain: Carrier, codomain: Carrier) -> 
     )
 
 
+def _generate_or_none(subbase: FuzzyFamily, max_opens: int) -> Topology | None:
+    """The generated topology, or None (a rejected sample) when the closure
+    passes ten times the opens cap."""
+    try:
+        return generate_from_subbase(subbase, max_size=10 * max_opens)
+    except ResourceLimitError:
+        return None
+
+
 def random_topology(
     rng: random.Random,
     carrier: Carrier,
@@ -91,9 +101,8 @@ def random_topology(
             else random_fuzzy_set(rng, carrier, chain)
             for _ in range(count)
         ]
-        subbase = FuzzyFamily.of(carrier, chain, members)
-        topology = generate_from_subbase(subbase, max_size=10 * max_opens)
-        if len(topology.opens) <= max_opens:
+        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), max_opens)
+        if topology is not None and len(topology.opens) <= max_opens:
             return topology
     return indiscrete(carrier, chain)
 
@@ -129,10 +138,8 @@ def random_topology_where(
                 members.append(random_crisp_set(rng, carrier, chain))
             else:
                 members.append(random_fuzzy_set(rng, carrier, chain))
-        topology = generate_from_subbase(
-            FuzzyFamily.of(carrier, chain, members), max_size=10 * max_opens
-        )
-        if len(topology.opens) <= max_opens and predicate(topology):
+        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), max_opens)
+        if topology is not None and len(topology.opens) <= max_opens and predicate(topology):
             return topology
     return fallback(carrier, chain)
 

@@ -3,7 +3,8 @@
 These deliberately avoid the shortcuts used by the main code paths: topology
 generation alternates one-pass closures instead of closing the base first,
 and the cover oracles enumerate multiplicity vectors or subfamilies outright.
-They back the verification suites, the CLI oracle mode, and the test suite.
+The Hausdorff oracle searches every pair of opens per pair of points.  They
+back the verification suites, the CLI oracle mode, and the test suite.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .core import FuzzyFamily, FuzzySet
 from .covers import CoverCertificate
 from .errors import ResourceLimitError
-from .topology import Topology
+from .topology import SeparationReport, Topology
 
 DEFAULT_ORACLE_OPENS = 15
 
@@ -44,6 +45,33 @@ def naive_generate_opens(subbase: FuzzyFamily) -> FuzzyFamily:
         if joined == family:
             return FuzzyFamily.of(carrier, chain, family)
         family = joined
+
+
+def naive_check_hausdorff(topology: Topology) -> SeparationReport:
+    """Search, per pair of distinct points, a pair of opens with full value at
+    the respective point and pointwise-disjoint; the first witness pair in
+    canonical order is reported."""
+    n = topology.chain.n
+    opens = topology.opens.members
+    witnesses = []
+    for x in range(topology.carrier.size):
+        for y in range(x + 1, topology.carrier.size):
+            found = None
+            for ox in opens:
+                if ox.values[x] != n:
+                    continue
+                for oy in opens:
+                    if oy.values[y] != n:
+                        continue
+                    if ox.meet(oy).is_zero:
+                        found = (ox, oy)
+                        break
+                if found:
+                    break
+            if found is None:
+                return SeparationReport(False, tuple(witnesses), (x, y))
+            witnesses.append(((x, y), found))
+    return SeparationReport(True, tuple(witnesses), None)
 
 
 def exhaustive_additive_subcover_exists(family: FuzzyFamily) -> bool:
@@ -133,10 +161,9 @@ class CompactnessOracleReport:
     counterexample: tuple[FuzzySet, ...] | None = None
 
 
-def brute_force_compactness(
-    topology: Topology, *, max_opens: int = DEFAULT_ORACLE_OPENS
-) -> CompactnessOracleReport:
-    """Enumerate all open covers; each must contain an additive cover."""
+def _open_covers(topology: Topology, max_opens: int):
+    """Every subfamily of the opens whose join is the unit set, as index lists
+    in bitmask order."""
     opens = topology.opens.members
     if len(opens) > max_opens:
         raise ResourceLimitError(
@@ -146,8 +173,6 @@ def brute_force_compactness(
         )
     n = topology.chain.n
     size = topology.carrier.size
-    covers_checked = 0
-    certificates = []
     for mask in range(1, 1 << len(opens)):
         chosen = [i for i in range(len(opens)) if mask >> i & 1]
         joined = [0] * size
@@ -155,8 +180,18 @@ def brute_force_compactness(
             for x, v in enumerate(opens[i].values):
                 if v > joined[x]:
                     joined[x] = v
-        if any(v != n for v in joined):
-            continue
+        if all(v == n for v in joined):
+            yield chosen
+
+
+def brute_force_compactness(
+    topology: Topology, *, max_opens: int = DEFAULT_ORACLE_OPENS
+) -> CompactnessOracleReport:
+    """Enumerate all open covers; each must contain an additive cover."""
+    opens = topology.opens.members
+    covers_checked = 0
+    certificates = []
+    for chosen in _open_covers(topology, max_opens):
         covers_checked += 1
         certificate = exhaustive_certificate_for_cover([opens[i] for i in chosen], topology.chain)
         if certificate is None:
@@ -172,24 +207,8 @@ def brute_force_strong_compactness(
 ) -> CompactnessOracleReport:
     """Enumerate all open covers; each must contain a finite covering subfamily."""
     opens = topology.opens.members
-    if len(opens) > max_opens:
-        raise ResourceLimitError(
-            "compactness oracle refuses a topology this large",
-            limit=max_opens,
-            reached=len(opens),
-        )
-    size = topology.carrier.size
-    n = topology.chain.n
     covers_checked = 0
-    for mask in range(1, 1 << len(opens)):
-        chosen = [i for i in range(len(opens)) if mask >> i & 1]
-        joined = [0] * size
-        for i in chosen:
-            for x, v in enumerate(opens[i].values):
-                if v > joined[x]:
-                    joined[x] = v
-        if any(v != n for v in joined):
-            continue
+    for chosen in _open_covers(topology, max_opens):
         covers_checked += 1
         # every enumerated cover is finite, so it is its own finite subcover;
         # re-check the covering condition to execute the definition honestly

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .core import Carrier, FuzzyFamily, PointMap, mv_preimage
 from .errors import InputError, PreconditionError
-from .maps import is_continuous
+from .maps import is_continuous, is_continuous_via_base
 from .topology import DEFAULT_MAX_OPENS, Topology, generate_from_subbase
 
 
@@ -117,8 +117,7 @@ def verify_universal_property(
 
     # continuity via the subbase: preimages of subbase members suffice because
     # pulling back is a homomorphism that preserves joins
-    opens = set(source.opens.members)
-    continuous = all(mv_preimage(combined, s) in opens for s in space.subbase)
+    continuous = is_continuous_via_base(combined, source, space.subbase)
 
     commutes = all(
         combined.then(space.projections[i]) == maps[i] for i in range(len(maps))

@@ -4,8 +4,8 @@ Topologies are stored extensionally (the full family of opens), so every
 predicate is a finite scan.  Generation is a fixpoint closure guarded by a
 configurable size cap.
 
-The hot scans (closure, the topology check and the base check) pack their
-fuzzy sets into `core.Lanes` ints once, compute on those, and turn results
+The hot scans (closure, the topology, base, clopen and Hausdorff checks) pack
+their fuzzy sets into `core.Lanes` ints once, compute on those, and turn results
 back into `FuzzySet`s only at the end; their inputs were validated when they
 were built.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import covers as _covers
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Lanes
@@ -34,15 +34,6 @@ class Topology:
     def __post_init__(self):
         if self.opens.carrier != self.carrier or self.opens.chain != self.chain:
             raise InputError("opens must live on the topology's carrier and chain")
-
-    @classmethod
-    def from_opens(
-        cls, carrier: Carrier, chain: Chain, opens: Iterable[FuzzySet], *, validate: bool = True
-    ) -> "Topology":
-        family = FuzzyFamily.of(carrier, chain, opens)
-        if validate and not is_topology(family):
-            raise InputError("family is not closed under the topology operations")
-        return cls(carrier, chain, family)
 
     @property
     def zero(self) -> FuzzySet:
@@ -187,19 +178,25 @@ def is_subbase(
     return generate_from_subbase(candidate, max_size=max_size).opens == topology.opens
 
 
-def is_large_subbase(family: FuzzyFamily) -> bool:
-    """True iff the family contains every scalar multiple of each member.
+def large_subbase_witness(family: FuzzyFamily) -> tuple[FuzzySet, int, FuzzySet] | None:
+    """The first (member, multiplicity k, k-fold multiple) whose multiple is
+    missing from the family, or None when the family is a large subbase.
 
     Multiples stabilize at the crisp support once the multiplicity reaches the
     chain resolution, so only multiplicities up to n need checking.
     """
     present = {m.values for m in family.members}
-    n = family.chain.n
     for m in family.members:
-        for k in range(2, n + 1):
-            if m.scaled(k).values not in present:
-                return False
-    return True
+        for k in range(2, family.chain.n + 1):
+            multiple = m.scaled(k)
+            if multiple.values not in present:
+                return m, k, multiple
+    return None
+
+
+def is_large_subbase(family: FuzzyFamily) -> bool:
+    """True iff the family contains every scalar multiple of each member."""
+    return large_subbase_witness(family) is None
 
 
 def closed_sets(topology: Topology) -> FuzzyFamily:
@@ -209,11 +206,15 @@ def closed_sets(topology: Topology) -> FuzzyFamily:
 
 
 def clopens(topology: Topology) -> FuzzyFamily:
-    closed = {c.values for c in closed_sets(topology).members}
+    """The opens whose complement is open too."""
+    lanes = Lanes(topology.carrier.size, topology.chain.n)
+    packed = [lanes.pack(o.values) for o in topology.opens]
+    present = set(packed)
+    # lane-wise n - v never borrows, so the complement is one subtraction
     return FuzzyFamily.of(
         topology.carrier,
         topology.chain,
-        (o for o in topology.opens if o.values in closed),
+        (o for o, x in zip(topology.opens, packed) if lanes.top - x in present),
     )
 
 
@@ -241,29 +242,28 @@ class SeparationReport:
 
 
 def check_hausdorff(topology: Topology) -> SeparationReport:
-    """Search, per pair of distinct points, a pair of opens with full value at
-    the respective point and pointwise-disjoint; the first witness pair in
-    canonical order is reported."""
-    n = topology.chain.n
-    opens = topology.opens.members
+    """Closed form of the Hausdorff check.
+
+    U_x, the meet of the opens with full value at x, is open (a finite meet)
+    and below every such open, so a pair x, y is separated iff U_x and U_y are
+    disjoint, and (U_x, U_y) is then the first separating pair of opens in
+    canonical order.  `oracles.naive_check_hausdorff` is the pair search.
+    """
+    carrier, chain = topology.carrier, topology.chain
+    lanes = Lanes(carrier.size, chain.n)
+    least = [lanes.top] * carrier.size
+    for o in topology.opens:
+        x = lanes.pack(o.values)
+        for i, v in enumerate(o.values):
+            if v == chain.n:
+                least[i] = lanes.meet(least[i], x)
+    sets = [FuzzySet(carrier, chain, lanes.unpack(u)) for u in least]
     witnesses = []
-    for x in range(topology.carrier.size):
-        for y in range(x + 1, topology.carrier.size):
-            found = None
-            for ox in opens:
-                if ox.values[x] != n:
-                    continue
-                for oy in opens:
-                    if oy.values[y] != n:
-                        continue
-                    if ox.meet(oy).is_zero:
-                        found = (ox, oy)
-                        break
-                if found:
-                    break
-            if found is None:
+    for x in range(carrier.size):
+        for y in range(x + 1, carrier.size):
+            if lanes.meet(least[x], least[y]):
                 return SeparationReport(False, tuple(witnesses), (x, y))
-            witnesses.append(((x, y), found))
+            witnesses.append(((x, y), (sets[x], sets[y])))
     return SeparationReport(True, tuple(witnesses), None)
 
 

@@ -2,11 +2,13 @@
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
+from mvtop import cli
 from mvtop.cli import main
 
 
@@ -89,6 +91,35 @@ def test_check_hausdorff_failure_gives_pair_witness():
     assert report["witness"]["pair"] == ["a", "b"]
 
 
+FUZZY_HAUSDORFF = {
+    "chain": 2,
+    "points": ["a", "b", "c"],
+    "opens": [
+        [0, 0, 0], [0, 0, 2], [0, 2, 0], [0, 2, 2], [1, 0, 0], [1, 0, 2],
+        [1, 2, 0], [1, 2, 2], [2, 0, 0], [2, 0, 2], [2, 2, 0], [2, 2, 2],
+    ],
+}
+
+
+def test_check_hausdorff_witnesses_on_a_fuzzy_space_are_byte_exact():
+    code, out, _ = run_cli(["check", "hausdorff", "-"], doc(FUZZY_HAUSDORFF))
+    assert code == 0
+    witnesses = [
+        (["a", "b"], [2, 0, 0], [0, 2, 0]),
+        (["a", "c"], [2, 0, 0], [0, 0, 2]),
+        (["b", "c"], [0, 2, 0], [0, 0, 2]),
+    ]
+    expected = {
+        "check": "hausdorff",
+        "verdict": True,
+        "witnesses": [
+            {"pair": pair, "first": first, "second": second}
+            for pair, first, second in witnesses
+        ],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_check_compact_with_and_without_oracle_agree():
     for space in (DISCRETE, INDISCRETE):
         plain_code, plain_out, _ = run_cli(["check", "compact", "-"], doc(space))
@@ -135,6 +166,15 @@ def test_check_large_subbase():
         doc({"chain": 2, "points": ["x"], "subbase": [[1], [2]]}),
     )
     assert code2 == 0
+    # the witness is the first member, then the least multiplicity, whose multiple is missing
+    space = {"chain": 4, "points": ["x", "y"], "subbase": [[1, 0], [2, 0], [4, 0]]}
+    code3, out3, _ = run_cli(["check", "large-subbase", "-"], doc(space))
+    assert code3 == 1
+    assert out3 == (
+        '{\n  "check": "large-subbase",\n  "verdict": false,\n  "witness": {\n'
+        '    "member": [\n      1,\n      0\n    ],\n    "multiplicity": 3,\n'
+        '    "missing": [\n      3,\n      0\n    ]\n  }\n}\n'
+    )
 
 
 def test_check_requires_opens_for_topology_checks():
@@ -289,6 +329,22 @@ def test_continuity_verdicts():
     assert json.loads(out2)["witness"] == [0, 1]
 
 
+def test_continuity_validates_a_self_map_space_once(monkeypatch):
+    calls = []
+    real = cli.topology_violation
+    monkeypatch.setattr(
+        cli, "topology_violation", lambda family: calls.append(family) or real(family)
+    )
+    for codomain, expected_calls in ((DISCRETE, 1), (INDISCRETE, 2)):
+        calls.clear()
+        code, out, _ = run_cli(
+            ["continuity", "-"], doc({"domain": DISCRETE, "codomain": codomain, "map": [1, 0]})
+        )
+        assert code == 0
+        assert out == '{\n  "check": "continuity",\n  "verdict": true\n}\n'
+        assert len(calls) == expected_calls
+
+
 # -- verify -------------------------------------------------------------------------
 
 
@@ -333,3 +389,33 @@ def test_nonpositive_caps_and_case_counts_are_usage_errors(args):
 def test_usage_error_exits_2():
     code, _, _ = run_cli(["frobnicate"])
     assert code == 2
+
+
+def test_document_caps_reject_max_nodes():
+    space = {"chain": 2, "points": ["x"], "subbase": [[1]], "caps": {"max_nodes": 5}}
+    code, out, err = run_cli(["gen", "-"], doc(space))
+    assert code == 2
+    assert out == ""
+    assert err == "error: caps has unknown fields: max_nodes\n"
+
+
+def test_uncaught_exception_exits_4_with_one_line(monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "generate_from_subbase", explode)
+    code, out, err = run_cli(["gen", "-"], doc(HALF))
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom second line\n"
+
+
+def test_mincover_on_a_1201_member_family_prints_no_traceback():
+    rng = random.Random(1201)
+    members = set()
+    while len(members) < 1201:
+        members.add(tuple(rng.randint(0, 2) for _ in range(10)))
+    family = {"chain": 2, "points": [f"p{i}" for i in range(10)], "family": sorted(members)}
+    code, _, err = run_cli(["mincover", "--max-nodes", "4000", "-"], doc(family))
+    assert code in (0, 3, 4)
+    assert "Traceback" not in err

@@ -12,12 +12,21 @@ from mvtop import (
     Chain,
     FuzzyFamily,
     FuzzySet,
+    ResourceLimitError,
     base_witness,
+    check_hausdorff,
     clopens,
     generate_from_subbase,
 )
 from mvtop.core import Lanes
-from mvtop.oracles import naive_generate_opens
+from mvtop.generators import (
+    case_rng,
+    random_carrier,
+    random_chain,
+    random_hausdorff_topology,
+    random_topology,
+)
+from mvtop.oracles import naive_check_hausdorff, naive_generate_opens
 from mvtop.topology import topology_violation
 
 
@@ -158,3 +167,36 @@ def test_generation_matches_naive_oracle_on_wider_chains():
         ]
         subbase = FuzzyFamily.of(carrier, chain, members)
         assert generate_from_subbase(subbase).opens == naive_generate_opens(subbase)
+
+
+def assert_hausdorff_and_clopens_agree(topology):
+    report = check_hausdorff(topology)
+    assert report == naive_check_hausdorff(topology)
+    opens = set(topology.opens)
+    assert clopens(topology).members == tuple(o for o in topology.opens if o.complement() in opens)
+    return report
+
+
+def test_closed_form_hausdorff_matches_the_pair_search_on_seeded_topologies():
+    separated = 0
+    for i in range(100):
+        rng = case_rng(37, i)
+        carrier, chain = random_carrier(rng, 5), random_chain(rng, 3)
+        draw = random_hausdorff_topology if i % 2 else random_topology
+        separated += assert_hausdorff_and_clopens_agree(draw(rng, carrier, chain)).hausdorff
+    assert 25 < separated < 100
+
+
+@given(st.data())
+def test_closed_form_hausdorff_matches_the_pair_search_on_drawn_subbases(data):
+    k, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    carrier, chain = Carrier(tuple("abcde"[:k])), Chain(n)
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(0, n)] * k), max_size=3))
+    if data.draw(st.booleans()):  # full-value singletons push toward separated spaces
+        vectors += [tuple(n if i == x else 0 for i in range(k)) for x in range(k)]
+    subbase = FuzzyFamily.of(carrier, chain, (FuzzySet(carrier, chain, v) for v in vectors))
+    try:
+        topology = generate_from_subbase(subbase, max_size=64)
+    except ResourceLimitError:
+        return
+    assert_hausdorff_and_clopens_agree(topology)

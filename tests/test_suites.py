@@ -2,6 +2,8 @@
 
 import pytest
 
+from mvtop import Carrier, Chain, is_hausdorff
+from mvtop.generators import case_rng, random_hausdorff_topology
 from mvtop.suites import SUITES, render_report, run_suite
 
 EXPECTED_SUITES = {
@@ -48,3 +50,10 @@ def test_failure_reporting_shape():
     assert report.cases == 0 and report.all_passed
     text = render_report(report)
     assert text.splitlines()[-1] == "result: PASS"
+
+
+def test_generators_treat_a_cap_error_as_a_rejected_sample():
+    # this draw's closure once passed the generator's cap and escaped as an error
+    topology = random_hausdorff_topology(case_rng(0, 1), Carrier(tuple("abcde")), Chain(3))
+    assert is_hausdorff(topology)
+    assert len(topology.opens) <= 64
