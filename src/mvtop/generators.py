@@ -70,12 +70,14 @@ def random_point_map(rng: random.Random, domain: Carrier, codomain: Carrier) -> 
 
 
 def _generate_or_none(subbase: FuzzyFamily, max_opens: int) -> Topology | None:
-    """The generated topology, or None (a rejected sample) when the closure
-    passes ten times the opens cap."""
+    """The generated topology, or None (a rejected sample) when it has more
+    than max_opens opens."""
     try:
-        return generate_from_subbase(subbase, max_size=10 * max_opens)
+        topology = generate_from_subbase(subbase, max_size=max_opens)
     except ResourceLimitError:
         return None
+    # the cap counts what a closure adds: the seeded 0 and 1 can end two past it
+    return topology if len(topology.opens) <= max_opens else None
 
 
 def random_topology(
@@ -102,7 +104,7 @@ def random_topology(
             for _ in range(count)
         ]
         topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), max_opens)
-        if topology is not None and len(topology.opens) <= max_opens:
+        if topology is not None:
             return topology
     return indiscrete(carrier, chain)
 
@@ -139,7 +141,7 @@ def random_topology_where(
             else:
                 members.append(random_fuzzy_set(rng, carrier, chain))
         topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), max_opens)
-        if topology is not None and len(topology.opens) <= max_opens and predicate(topology):
+        if topology is not None and predicate(topology):
             return topology
     return fallback(carrier, chain)
 

@@ -4,10 +4,10 @@ Topologies are stored extensionally (the full family of opens), so every
 predicate is a finite scan.  Generation is a fixpoint closure guarded by a
 configurable size cap.
 
-The hot scans (closure, the topology, base, clopen and Hausdorff checks) pack
-their fuzzy sets into `core.Lanes` ints once, compute on those, and turn results
-back into `FuzzySet`s only at the end; their inputs were validated when they
-were built.
+The hot scans (closure, the topology, base and Hausdorff checks) pack their
+fuzzy sets into `core.Lanes` ints once, compute on those, and turn results back
+into `FuzzySet`s only at the end; their inputs were validated when they were
+built.
 """
 
 from __future__ import annotations
@@ -207,14 +207,11 @@ def closed_sets(topology: Topology) -> FuzzyFamily:
 
 def clopens(topology: Topology) -> FuzzyFamily:
     """The opens whose complement is open too."""
-    lanes = Lanes(topology.carrier.size, topology.chain.n)
-    packed = [lanes.pack(o.values) for o in topology.opens]
-    present = set(packed)
-    # lane-wise n - v never borrows, so the complement is one subtraction
+    closed = {c.values for c in closed_sets(topology).members}
     return FuzzyFamily.of(
         topology.carrier,
         topology.chain,
-        (o for o, x in zip(topology.opens, packed) if lanes.top - x in present),
+        (o for o in topology.opens if o.values in closed),
     )
 
 

@@ -2,7 +2,6 @@
 
 import io
 import json
-import random
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
@@ -397,25 +396,3 @@ def test_document_caps_reject_max_nodes():
     assert code == 2
     assert out == ""
     assert err == "error: caps has unknown fields: max_nodes\n"
-
-
-def test_uncaught_exception_exits_4_with_one_line(monkeypatch):
-    def explode(*args, **kwargs):
-        raise RuntimeError("boom\nsecond line")
-
-    monkeypatch.setattr(cli, "generate_from_subbase", explode)
-    code, out, err = run_cli(["gen", "-"], doc(HALF))
-    assert code == 4
-    assert out == ""
-    assert err == "error: internal error: RuntimeError: boom second line\n"
-
-
-def test_mincover_on_a_1201_member_family_prints_no_traceback():
-    rng = random.Random(1201)
-    members = set()
-    while len(members) < 1201:
-        members.add(tuple(rng.randint(0, 2) for _ in range(10)))
-    family = {"chain": 2, "points": [f"p{i}" for i in range(10)], "family": sorted(members)}
-    code, _, err = run_cli(["mincover", "--max-nodes", "4000", "-"], doc(family))
-    assert code in (0, 3, 4)
-    assert "Traceback" not in err
