@@ -12,6 +12,7 @@ that trust their operands because they only ever see validated values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -345,7 +346,8 @@ class FuzzyFamily:
         return len(self.members)
 
     def __contains__(self, item: FuzzySet) -> bool:
-        return item in set(self.members)
+        i = bisect_left(self.members, item.values, key=lambda m: m.values)
+        return i < len(self.members) and self.members[i] == item
 
     def with_members(self, extra: Iterable[FuzzySet]) -> "FuzzyFamily":
         return FuzzyFamily(self.carrier, self.chain, self.members + tuple(extra))

@@ -59,11 +59,22 @@ class CoverCertificate:
     def combined(self) -> FuzzySet:
         """Truncated sum of all entries with their multiplicities."""
         n = self.chain.n
-        acc = [0] * self.carrier.size
-        for member, mult in self.entries:
-            for i, v in enumerate(member.values):
-                acc[i] += mult * v
+        acc = _raw_sum(self.entries, self.carrier.size)
         return FuzzySet(self.carrier, self.chain, tuple(min(n, a) for a in acc))
+
+
+def _raw_sum(entries, size: int) -> list[int]:
+    """Pointwise sum of (member, multiplicity) entries, before truncation at n."""
+    acc = [0] * size
+    for member, mult in entries:
+        for i, v in enumerate(member.values):
+            acc[i] += mult * v
+    return acc
+
+
+def _first_uncovered(members: Sequence[FuzzySet], size: int) -> int | None:
+    """The first point where every member vanishes, or None when the supports cover."""
+    return next((x for x in range(size) if not any(m.values[x] for m in members)), None)
 
 
 def is_cover(family: FuzzyFamily) -> bool:
@@ -77,15 +88,10 @@ def is_additive_cover(certificate: CoverCertificate) -> bool:
 
 def has_additive_subcover(family: FuzzyFamily) -> bool:
     """Finite-model criterion: a certificate exists iff the supports cover the carrier."""
-    covered: set[int] = set()
-    for m in family.members:
-        covered |= m.support()
-    return len(covered) == family.carrier.size
+    return _first_uncovered(family.members, family.carrier.size) is None
 
 
-def find_additive_subcover(
-    family: FuzzyFamily, *, minimize: bool = True
-) -> CoverCertificate | None:
+def find_additive_subcover(family: FuzzyFamily) -> CoverCertificate | None:
     """A certificate drawn from the family, or None when none exists.
 
     Built greedily point by point (largest value first, canonical order on
@@ -95,50 +101,23 @@ def find_additive_subcover(
     if not has_additive_subcover(family):
         return None
     n = family.chain.n
-    members = family.members
     size = family.carrier.size
-    mults: dict[int, int] = {}
-
-    def raw_sum() -> list[int]:
-        acc = [0] * size
-        for idx, mult in mults.items():
-            for i, v in enumerate(members[idx].values):
-                acc[i] += mult * v
-        return acc
-
+    mults: dict[FuzzySet, int] = {}
     for x in range(size):
-        if raw_sum()[x] >= n:
+        if _raw_sum(mults.items(), size)[x] >= n:
             continue
-        best = max(
-            (idx for idx in range(len(members)) if members[idx].values[x] > 0),
-            key=lambda idx: (members[idx].values[x], -idx),
-        )
-        needed = -(-n // members[best].values[x])  # ceil division
+        # max keeps the first of equal keys: the canonically least member
+        best = max((m for m in family.members if m.values[x] > 0), key=lambda m: m.values[x])
+        needed = -(-n // best.values[x])  # ceil division
         mults[best] = max(mults.get(best, 0), needed)
 
-    if minimize:
-        for idx in sorted(mults):
-            current = mults[idx]
-            for lower in range(0, current):
-                trial = dict(mults)
-                if lower == 0:
-                    del trial[idx]
-                else:
-                    trial[idx] = lower
-                acc = [0] * size
-                for i2, mult in trial.items():
-                    for i, v in enumerate(members[i2].values):
-                        acc[i] += mult * v
-                if all(a >= n for a in acc):
-                    if lower == 0:
-                        del mults[idx]
-                    else:
-                        mults[idx] = lower
-                    break
+    for member in sorted(mults, key=lambda m: m.values):
+        for lower in range(mults[member]):
+            if all(a >= n for a in _raw_sum({**mults, member: lower}.items(), size)):
+                mults[member] = lower
+                break
 
-    certificate = CoverCertificate(
-        tuple((members[idx], mult) for idx, mult in sorted(mults.items()))
-    )
+    certificate = CoverCertificate(tuple((m, mult) for m, mult in mults.items() if mult))
     assert is_additive_cover(certificate)
     return certificate
 
@@ -183,11 +162,9 @@ def minimal_additive_cover_search(
     k = len(members)
     n = family.chain.n
     size = family.carrier.size
-    if not has_additive_subcover(family):
-        return AdditiveCoverSearch(None, 0)
-
     greedy = find_additive_subcover(family)
-    assert greedy is not None
+    if greedy is None:
+        return AdditiveCoverSearch(None, 0)
     # suffix_max[idx][x]: largest value at x among members[idx:]
     suffix_max = [[0] * size for _ in range(k + 1)]
     for idx in range(k - 1, -1, -1):
@@ -197,7 +174,6 @@ def minimal_additive_cover_search(
     best_vector: list[int] | None = None
     bound = greedy.total_multiplicity + 1
     nodes = 0
-    residual_start = [n] * size
 
     def lower_bound(idx: int, residual: Sequence[int]) -> int | None:
         worst = 0
@@ -235,9 +211,9 @@ def minimal_additive_cover_search(
         vals = members[idx].values
         for m in range(0, n + 1):
             nxt = [r - m * v for r, v in zip(residual, vals)] if m else residual
-            descend(idx + 1, total + m, list(nxt), chosen + [m])
+            descend(idx + 1, total + m, nxt, chosen + [m])
 
-    descend(0, 0, residual_start, [])
+    descend(0, 0, [n] * size, [])
     assert best_vector is not None
     certificate = CoverCertificate(
         tuple((members[i], m) for i, m in enumerate(best_vector) if m > 0)
@@ -271,35 +247,33 @@ def minimal_subcover_search(
     members = family.members
     k = len(members)
     n = family.chain.n
-    size = family.carrier.size
-    full_sets = [frozenset(x for x in range(size) if m.values[x] == n) for m in members]
-    if set().union(*full_sets, set()) != set(range(size)):
+    # bit x of full[i] is set iff members[i] takes the top value at point x
+    full = [sum(1 << x for x, v in enumerate(m.values) if v == n) for m in members]
+    suffix_union = [0] * (k + 1)
+    suffix_best = [0] * (k + 1)
+    for idx in range(k - 1, -1, -1):
+        suffix_union[idx] = suffix_union[idx + 1] | full[idx]
+        suffix_best[idx] = max(suffix_best[idx + 1], full[idx].bit_count())
+    everything = (1 << family.carrier.size) - 1
+    if suffix_union[0] != everything:
         return SubcoverSearch(None, 0)
 
     # greedy upper bound: most new points covered, canonical order on ties
-    uncovered = set(range(size))
+    uncovered = everything
     greedy_size = 0
     while uncovered:
-        best = max(range(k), key=lambda i: (len(full_sets[i] & uncovered), -i))
-        uncovered -= full_sets[best]
+        best = max(range(k), key=lambda i: (full[i] & uncovered).bit_count())
+        uncovered &= ~full[best]
         greedy_size += 1
-
-    suffix_best = [0] * (k + 1)
-    for idx in range(k - 1, -1, -1):
-        suffix_best[idx] = max(suffix_best[idx + 1], len(full_sets[idx]))
 
     best_choice: tuple[int, ...] | None = None
     bound = greedy_size + 1
     nodes = 0
-
-    def coverable(idx: int, missing: frozenset[int]) -> bool:
-        rest = set()
-        for i in range(idx, k):
-            rest |= full_sets[i]
-        return missing <= rest
-
-    def descend(idx: int, chosen: tuple[int, ...], missing: frozenset[int]) -> None:
-        nonlocal nodes, bound, best_choice
+    # explicit stack, exclude child pushed first: nodes are visited in the
+    # preorder of the include-first recursion, at any family size
+    stack = [(0, (), everything)]
+    while stack:
+        idx, chosen, missing = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(
@@ -308,16 +282,17 @@ def minimal_subcover_search(
         if not missing:
             best_choice = chosen
             bound = len(chosen)
-            return
-        if idx == k or not coverable(idx, missing):
-            return
-        lb = -(-len(missing) // max(suffix_best[idx], 1))
+            continue
+        # suffix_union[k] is empty, so this also ends the search past the last member;
+        # a coverable nonempty missing set makes suffix_best[idx] at least 1
+        if missing & ~suffix_union[idx]:
+            continue
+        lb = -(-missing.bit_count() // suffix_best[idx])
         if len(chosen) + lb >= bound:
-            return
-        descend(idx + 1, chosen + (idx,), missing - full_sets[idx])
-        descend(idx + 1, chosen, missing)
+            continue
+        stack.append((idx + 1, chosen, missing))
+        stack.append((idx + 1, chosen + (idx,), missing & ~full[idx]))
 
-    descend(0, (), frozenset(range(size)))
     assert best_choice is not None
     subfamily = FuzzyFamily.of(
         family.carrier, family.chain, (members[i] for i in best_choice)
@@ -365,29 +340,14 @@ def product_subbasic_subcover(
         per_factor[i].append(alpha)
 
     n = space.chain.n
-    chosen_factor = None
-    for j, factor in enumerate(factors):
-        covered: set[int] = set()
-        for alpha in per_factor[j]:
-            covered |= alpha.support()
-        if len(covered) == factor.carrier.size:
-            chosen_factor = j
-            break
-
-    if chosen_factor is None:
-        coords = []
-        for j, factor in enumerate(factors):
-            covered = set()
-            for alpha in per_factor[j]:
-                covered |= alpha.support()
-            missing = min(set(range(factor.carrier.size)) - covered)
-            coords.append(factor.carrier.label(missing))
-        witness = "(" + ",".join(coords) + ")"
+    gaps = [_first_uncovered(per_factor[j], f.carrier.size) for j, f in enumerate(factors)]
+    if None not in gaps:
+        witness = "(" + ",".join(f.carrier.label(x) for f, x in zip(factors, gaps)) + ")"
         raise PreconditionError(
             f"the listed sets do not cover the product: every listed open vanishes at {witness}"
         )
 
-    j = chosen_factor
+    j = gaps.index(None)
     factor = factors[j]
     listed = sorted(set(per_factor[j]), key=lambda a: a.values)
     mults: dict[FuzzySet, int] = {}

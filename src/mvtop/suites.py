@@ -17,6 +17,7 @@ from .covers import is_additive_cover, product_subbasic_subcover
 from .errors import PreconditionError
 from .generators import (
     case_rng,
+    coordinate_ideal,
     random_carrier,
     random_chain,
     random_compact_pair,
@@ -354,7 +355,7 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
     if alpha.oplus(rng.choice(members)) not in ideal:
         return f"ideal is not closed under sums at {where}"
 
-    universe = _all_sets(carrier, chain)
+    universe = coordinate_ideal(carrier, chain, ()).members
     outside = [s for s in universe if s not in ideal]
     if outside:
         picks = [rng.choice(outside) for _ in range(rng.randint(1, 3))]
@@ -393,20 +394,6 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
             f"summands={[t.values for t in tops]}"
         )
     return None
-
-
-def _all_sets(carrier, chain) -> list[FuzzySet]:
-    sets = []
-
-    def build(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == carrier.size:
-            sets.append(FuzzySet(carrier, chain, prefix))
-            return
-        for v in range(chain.n + 1):
-            build(prefix + (v,))
-
-    build(())
-    return sets
 
 
 # -- subbasic cover extraction -------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import random
+import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
@@ -274,6 +277,25 @@ def test_subcover_infeasible_exits_1():
     fam = {"chain": 2, "points": ["a", "b"], "family": [[1, 2]]}
     code, out, _ = run_cli(["subcover", "-"], doc(fam))
     assert code == 1
+
+
+@pytest.mark.parametrize("cap", [[], ["--max-nodes", "4000"]])
+def test_subcover_on_a_deep_family_exits_cleanly(tmp_path, cap):
+    # 1201 members: deeper than the interpreter's recursion limit, so a
+    # search that recursed once per member crashed with a traceback here
+    rng = random.Random(1)
+    vectors = set()
+    while len(vectors) < 1201:
+        vectors.add(tuple(0 if rng.random() < 0.3 else rng.randint(1, 2) for _ in range(10)))
+    path = tmp_path / "deep.family.json"
+    path.write_text(doc({"chain": 2, "points": [f"p{i}" for i in range(10)], "family": sorted(vectors)}))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvtop.cli", "subcover", *cap, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode in (0, 3)
+    assert "Traceback" not in proc.stderr
 
 
 # -- metric ------------------------------------------------------------------------

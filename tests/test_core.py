@@ -145,6 +145,19 @@ def test_family_is_canonical_and_deduplicated():
     assert len(family) == 2
 
 
+def test_family_membership_matches_the_member_set():
+    rng = random.Random(5)
+    universe = [fs(AB, CH2, a, b) for a in range(3) for b in range(3)]
+    for _ in range(50):
+        family = FuzzyFamily.of(AB, CH2, rng.sample(universe, rng.randint(0, 9)))
+        members = set(family.members)
+        assert [s in family for s in universe] == [s in members for s in universe]
+    family = FuzzyFamily.of(AB, CH2, universe)
+    # equal values on another carrier or chain are not members
+    assert fs(Carrier(("c", "d")), CH2, 1, 1) not in family
+    assert fs(AB, CH4, 1, 1) not in family
+
+
 # -- preimages and images --------------------------------------------------------
 
 

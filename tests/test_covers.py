@@ -1,5 +1,6 @@
 """Covers, certificates, exact solvers against oracles, and term machinery."""
 
+import hashlib
 import random
 
 import pytest
@@ -244,6 +245,59 @@ def test_solver_node_cap_is_enforced():
     fam = family(AB, CH2, (1, 1), (2, 0), (0, 2), (1, 0))
     with pytest.raises(ResourceLimitError):
         minimal_additive_cover_search(fam, max_nodes=2)
+
+
+def test_subcover_node_cap_reports_how_far_it_got():
+    fam = family(AB, CH2, (1, 1), (2, 0), (0, 2), (1, 0))
+    assert minimal_subcover_search(fam, max_nodes=9).nodes == 9
+    with pytest.raises(ResourceLimitError) as err:
+        minimal_subcover_search(fam, max_nodes=8)
+    assert str(err.value) == "subcover search exceeded the node cap (cap 8, reached 9)"
+
+
+def _pinned_families(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        k, n = rng.randint(1, 10), rng.randint(1, 4)
+        carrier = Carrier(tuple(f"p{i}" for i in range(k)))
+        chain = Chain(n)
+        size = min(rng.choice((1, 5, 30, 200, 900)), (n + 1) ** k)
+        vectors = set()
+        while len(vectors) < size:
+            vectors.add(tuple(0 if rng.random() < 0.4 else rng.randint(1, n) for _ in range(k)))
+        yield FuzzyFamily.of(carrier, chain, (FuzzySet(carrier, chain, v) for v in vectors))
+
+
+def _search_outcome(fam, cap):
+    rows = []
+    for search, answer in (
+        (minimal_additive_cover_search, lambda r: r.certificate and entries(r.certificate)),
+        (minimal_subcover_search, lambda r: r.subcover and [m.values for m in r.subcover]),
+    ):
+        try:
+            result = search(fam, max_nodes=cap)
+        except ResourceLimitError as exc:
+            rows.append(str(exc))
+        else:
+            rows.append((answer(result), result.nodes))
+    return rows
+
+
+def test_search_results_nodes_and_cap_errors_are_pinned():
+    # 60 seeded families of 1-10 points, n 1-4 and up to 900 members, each
+    # solved at node caps 60 and 4000: a refactor of either search must keep
+    # the greedy certificate, the optimum, the node count and the cap error
+    digest = hashlib.sha256()
+    capped = 0
+    for fam in _pinned_families(61, 60):
+        greedy = find_additive_subcover(fam)
+        rows = [None if greedy is None else entries(greedy)]
+        for cap in (60, 4000):
+            rows += _search_outcome(fam, cap)
+        capped += sum(isinstance(r, str) for r in rows)
+        digest.update(repr(rows).encode())
+    assert capped == 68
+    assert digest.hexdigest() == "a122e38d86d1fc4eb6ae0273101c6ee99847e691efb54c2a595e1dab834502dd"
 
 
 def test_minimal_total_never_exceeds_greedy_total():
