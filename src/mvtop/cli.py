@@ -63,11 +63,11 @@ CHECK_KINDS = (
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
 
 
@@ -138,11 +138,10 @@ def _cmd_check(args) -> int:
         if kind in ("compact", "strong-compact"):
             strong = kind == "strong-compact"
             if args.oracle:
-                cap = args.max_opens or DEFAULT_ORACLE_OPENS
                 oracle = (
-                    brute_force_strong_compactness(topology, max_opens=cap)
+                    brute_force_strong_compactness(topology, max_opens=args.max_opens)
                     if strong
-                    else brute_force_compactness(topology, max_opens=cap)
+                    else brute_force_compactness(topology, max_opens=args.max_opens)
                 )
                 report["verdict"] = oracle.compact
                 report["method"] = "brute-force"
@@ -192,8 +191,7 @@ def _cmd_check(args) -> int:
 def _cmd_product(args) -> int:
     docs = [_space_document(path) for path in args.inputs]
     factors = [_topology_from(doc, "product") for doc in docs]
-    max_opens = args.max_opens or DEFAULT_MAX_OPENS
-    space = product(factors, max_opens=max_opens)
+    space = product(factors, max_opens=args.max_opens)
     if args.subbase_only:
         out = SpaceDocument(space.chain, space.carrier, "subbase", space.subbase)
     else:
@@ -204,9 +202,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_mincover(args) -> int:
     doc = parse_family_document(loads_document(_read_input(args.input)))
-    search = minimal_additive_cover_search(
-        doc.family, max_nodes=args.max_nodes or DEFAULT_MAX_NODES
-    )
+    search = minimal_additive_cover_search(doc.family, max_nodes=args.max_nodes)
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
     if search.certificate is None:
         report["feasible"] = False
@@ -224,9 +220,7 @@ def _cmd_mincover(args) -> int:
 
 def _cmd_subcover(args) -> int:
     doc = parse_family_document(loads_document(_read_input(args.input)))
-    search = minimal_subcover_search(
-        doc.family, max_nodes=args.max_nodes or DEFAULT_MAX_NODES
-    )
+    search = minimal_subcover_search(doc.family, max_nodes=args.max_nodes)
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
     if search.subcover is None:
         report["feasible"] = False
@@ -245,9 +239,7 @@ def _cmd_metric(args) -> int:
         balls = metric_ball_family(doc.metric, doc.centers, doc.radii)
         out = SpaceDocument(doc.metric.chain, doc.metric.carrier, "subbase", balls, doc.name)
     else:
-        topology = metric_induced(
-            doc.metric, doc.centers, doc.radii, max_size=args.max_opens or DEFAULT_MAX_OPENS
-        )
+        topology = metric_induced(doc.metric, doc.centers, doc.radii, max_size=args.max_opens)
         out = SpaceDocument(doc.metric.chain, doc.metric.carrier, "opens", topology.opens, doc.name)
     _emit(space_document_to_obj(out))
     return 0
@@ -297,29 +289,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=CHECK_KINDS)
     add_input(p)
     p.add_argument("--oracle", action="store_true", help="force brute-force compactness")
-    p.add_argument("--max-opens", type=_positive_int, default=None, help="oracle opens cap")
+    p.add_argument(
+        "--max-opens", type=_positive_int, default=DEFAULT_ORACLE_OPENS, help="oracle opens cap"
+    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("product", help="build the product of space documents")
     p.add_argument("inputs", nargs="+", help="factor space documents")
     p.add_argument("--subbase-only", action="store_true", help="emit the canonical subbase")
-    p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
+    p.add_argument(
+        "--max-opens", type=_positive_int, default=DEFAULT_MAX_OPENS, help="opens size cap"
+    )
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("mincover", help="least-total additive cover of a family document")
     add_input(p)
-    p.add_argument("--max-nodes", type=_positive_int, default=None, help="solver node cap")
+    p.add_argument(
+        "--max-nodes", type=_positive_int, default=DEFAULT_MAX_NODES, help="solver node cap"
+    )
     p.set_defaults(func=_cmd_mincover)
 
     p = sub.add_parser("subcover", help="smallest covering subfamily of a family document")
     add_input(p)
-    p.add_argument("--max-nodes", type=_positive_int, default=None, help="solver node cap")
+    p.add_argument(
+        "--max-nodes", type=_positive_int, default=DEFAULT_MAX_NODES, help="solver node cap"
+    )
     p.set_defaults(func=_cmd_subcover)
 
     p = sub.add_parser("metric", help="build the topology induced by a metric document")
     add_input(p)
     p.add_argument("--subbase-only", action="store_true", help="emit the ball family")
-    p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
+    p.add_argument(
+        "--max-opens", type=_positive_int, default=DEFAULT_MAX_OPENS, help="opens size cap"
+    )
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("continuity", help="check a map document for continuity")

@@ -12,8 +12,7 @@ that trust their operands because they only ever see validated values.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
@@ -198,11 +197,6 @@ class FuzzySet:
         n = self.chain.n
         return all(v == n for v in self.values)
 
-    @property
-    def is_crisp(self) -> bool:
-        n = self.chain.n
-        return all(v == 0 or v == n for v in self.values)
-
 
 class Lanes:
     """The value vectors of one carrier size and chain, packed into single ints.
@@ -322,18 +316,27 @@ class PointMap:
 
 @dataclass(frozen=True)
 class FuzzyFamily:
-    """A duplicate-free family of fuzzy sets on one carrier, kept in canonical order."""
+    """A duplicate-free family of fuzzy sets on one carrier, kept in canonical order.
+
+    The family is the one place that deduplicates fuzzy sets and decides
+    membership; both go by value vector, which identifies a member once its
+    carrier and chain are checked.
+    """
 
     carrier: Carrier
     chain: Chain
     members: tuple[FuzzySet, ...] = ()
+    _by_values: dict[tuple[int, ...], FuzzySet] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for m in self.members:
             if m.carrier != self.carrier or m.chain != self.chain:
                 raise InputError("family member lives on a different carrier or chain")
-        canonical = tuple(sorted(set(self.members), key=lambda m: m.values))
-        object.__setattr__(self, "members", canonical)
+        by_values = {m.values: m for m in self.members}
+        object.__setattr__(self, "_by_values", by_values)
+        object.__setattr__(self, "members", tuple(by_values[v] for v in sorted(by_values)))
 
     @classmethod
     def of(cls, carrier: Carrier, chain: Chain, members: Iterable[FuzzySet]) -> "FuzzyFamily":
@@ -346,8 +349,7 @@ class FuzzyFamily:
         return len(self.members)
 
     def __contains__(self, item: FuzzySet) -> bool:
-        i = bisect_left(self.members, item.values, key=lambda m: m.values)
-        return i < len(self.members) and self.members[i] == item
+        return self._by_values.get(item.values) == item
 
     def with_members(self, extra: Iterable[FuzzySet]) -> "FuzzyFamily":
         return FuzzyFamily(self.carrier, self.chain, self.members + tuple(extra))
@@ -401,7 +403,7 @@ def _order_and_op_closed(
     """
     if len(family) == 0:
         return False
-    present = {m.values for m in family.members}
+    present = family._by_values
     for m in family.members:
         for i, v in enumerate(m.values):
             if 0 <= v + step <= family.chain.n:

@@ -349,7 +349,7 @@ def product_subbasic_subcover(
 
     j = gaps.index(None)
     factor = factors[j]
-    listed = sorted(set(per_factor[j]), key=lambda a: a.values)
+    listed = FuzzyFamily.of(factor.carrier, factor.chain, per_factor[j])
     mults: dict[FuzzySet, int] = {}
     for x in range(factor.carrier.size):
         pick = next(a for a in listed if a.values[x] > 0)
@@ -419,11 +419,6 @@ class Term:
         if self.op == VAR:
             return self.index + 1
         return max(self.left.arity, self.right.arity)
-
-    def render(self) -> str:
-        if self.op == VAR:
-            return f"x{self.index}"
-        return f"({self.left.render()} {self.op} {self.right.render()})"
 
 
 def eval_term(term: Term, args: Sequence[FuzzySet]) -> FuzzySet:

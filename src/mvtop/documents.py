@@ -45,6 +45,13 @@ def _parse_header(obj: dict, what: str) -> tuple[Chain, Carrier]:
     return chain, Carrier(tuple(points))
 
 
+def _parse_name(obj: dict) -> str | None:
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InputError("name must be a string")
+    return name
+
+
 def _parse_vectors(raw: Any, carrier: Carrier, chain: Chain, what: str) -> FuzzyFamily:
     if not isinstance(raw, list):
         raise InputError(f"{what} must be a list of value vectors")
@@ -52,9 +59,7 @@ def _parse_vectors(raw: Any, carrier: Carrier, chain: Chain, what: str) -> Fuzzy
     for vec in raw:
         if not isinstance(vec, list):
             raise InputError(f"{what} entries must be lists of integers")
-        members.append(
-            FuzzySet(carrier, chain, tuple(_require_int(v, f"{what} value") for v in vec))
-        )
+        members.append(FuzzySet(carrier, chain, tuple(vec)))
     return FuzzyFamily.of(carrier, chain, members)
 
 
@@ -113,9 +118,7 @@ def parse_space_document(obj: Any) -> SpaceDocument:
     chain, carrier = _parse_header(obj, "space document")
     kind = declared[0]
     family = _parse_vectors(obj[kind], carrier, chain, kind)
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise InputError("name must be a string")
+    name = _parse_name(obj)
     caps = _parse_caps(obj["caps"]) if "caps" in obj else {}
     return SpaceDocument(chain, carrier, kind, family, name, caps)
 
@@ -148,10 +151,7 @@ def parse_family_document(obj: Any) -> FamilyDocument:
     _require_keys(obj, {"chain", "points", "family"}, {"name"}, "family document")
     chain, carrier = _parse_header(obj, "family document")
     family = _parse_vectors(obj["family"], carrier, chain, "family")
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise InputError("name must be a string")
-    return FamilyDocument(chain, carrier, family, name)
+    return FamilyDocument(chain, carrier, family, _parse_name(obj))
 
 
 def family_document_to_obj(doc: FamilyDocument) -> dict:
@@ -186,9 +186,9 @@ def parse_map_document(obj: Any, *, base_dir: Path | None = None) -> MapDocument
                 path = base_dir / path
             try:
                 raw = json.loads(path.read_text(encoding="utf-8"))
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise InputError(f"cannot read {what} space reference {value!r}: {exc}")
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise InputError(f"{what} space reference {value!r} is not valid JSON: {exc}")
             return parse_space_document(raw)
         return parse_space_document(value)
@@ -198,15 +198,8 @@ def parse_map_document(obj: Any, *, base_dir: Path | None = None) -> MapDocument
     images = obj["map"]
     if not isinstance(images, list):
         raise InputError("map must be a list of codomain indices")
-    point_map = PointMap(
-        domain.carrier,
-        codomain.carrier,
-        tuple(_require_int(i, "map index") for i in images),
-    )
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise InputError("name must be a string")
-    return MapDocument(point_map, domain, codomain, name)
+    point_map = PointMap(domain.carrier, codomain.carrier, tuple(images))
+    return MapDocument(point_map, domain, codomain, _parse_name(obj))
 
 
 def map_document_to_obj(doc: MapDocument) -> dict:
@@ -261,10 +254,7 @@ def parse_metric_document(obj: Any) -> MetricDocument:
         if not isinstance(raw, list):
             raise InputError("radii must be a list of rationals")
         radii = tuple(parse_rational(r, "radius") for r in raw)
-    name = obj.get("name")
-    if name is not None and not isinstance(name, str):
-        raise InputError("name must be a string")
-    return MetricDocument(metric, centers, radii, name)
+    return MetricDocument(metric, centers, radii, _parse_name(obj))
 
 
 def metric_document_to_obj(doc: MetricDocument) -> dict:
@@ -290,5 +280,5 @@ def dumps_canonical(obj: dict) -> str:
 def loads_document(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from None

@@ -19,9 +19,8 @@ def continuity_counterexample(
 ) -> FuzzySet | None:
     """First codomain open, in canonical order, whose preimage is not open."""
     _check_spaces(f, domain, codomain)
-    opens = set(domain.opens.members)
     for o in codomain.opens:
-        if mv_preimage(f, o) not in opens:
+        if mv_preimage(f, o) not in domain.opens:
             return o
     return None
 
@@ -36,19 +35,17 @@ def is_continuous_via_base(f: PointMap, domain: Topology, base: FuzzyFamily) -> 
         raise InputError("map endpoints do not match the domain topology and base")
     if domain.chain != base.chain:
         raise InputError("the domain topology and base live on different chains")
-    opens = set(domain.opens.members)
-    return all(mv_preimage(f, theta) in opens for theta in base)
+    return all(mv_preimage(f, theta) in domain.opens for theta in base)
 
 
 def is_open_map(f: PointMap, domain: Topology, codomain: Topology) -> bool:
     _check_spaces(f, domain, codomain)
-    opens = set(codomain.opens.members)
-    return all(forward_image(f, o) in opens for o in domain.opens)
+    return all(forward_image(f, o) in codomain.opens for o in domain.opens)
 
 
 def is_closed_map(f: PointMap, domain: Topology, codomain: Topology) -> bool:
     _check_spaces(f, domain, codomain)
-    closed = set(closed_sets(codomain).members)
+    closed = closed_sets(codomain)
     return all(forward_image(f, c) in closed for c in closed_sets(domain))
 
 

@@ -172,18 +172,16 @@ def _case_generation(rng: random.Random) -> str | None:
         return f"base closure is not monotone at {where}"
 
     closed = closed_sets(topology)
-    closed_values = {m.values for m in closed.members}
-    for a in closed.members:
-        for b in closed.members:
+    for a in closed:
+        for b in closed:
             for out in (a.oplus(b), a.odot(b), a.join(b), a.meet(b)):
-                if out.values not in closed_values:
+                if out not in closed:
                     return f"closed sets are not closed under the dual operations at {where}"
     clo = clopens(topology)
-    clo_values = {m.values for m in clo.members}
-    for a in clo.members:
-        for b in clo.members:
+    for a in clo:
+        for b in clo:
             for out in (a.oplus(b), a.odot(b), a.meet(b)):
-                if out.values not in clo_values:
+                if out not in clo:
                     return f"clopens are not closed under sums, products, and infima at {where}"
     return None
 
@@ -240,8 +238,10 @@ def _case_continuity(rng: random.Random) -> str | None:
 def _single_factor_form(space, result) -> bool:
     projection = space.projections[result.factor_index]
     factor = space.factors[result.factor_index]
-    lifted = {mv_preimage(projection, o).values for o in factor.opens}
-    return all(member.values in lifted for member, _ in result.certificate.entries)
+    lifted = FuzzyFamily.of(
+        space.carrier, space.chain, (mv_preimage(projection, o) for o in factor.opens)
+    )
+    return all(member in lifted for member, _ in result.certificate.entries)
 
 
 def _case_tychonoff(rng: random.Random) -> str | None:
@@ -283,7 +283,6 @@ def _case_hausdorff_product(rng: random.Random) -> str | None:
         return f"product of separated factors is not separated at {where}"
 
     n = chain.n
-    opens = set(topology.opens.members)
     reports = [check_hausdorff(f) for f in factors]
     for p in range(space.carrier.size):
         for q in range(p + 1, space.carrier.size):
@@ -300,7 +299,7 @@ def _case_hausdorff_product(rng: random.Random) -> str | None:
                 return f"lifted witnesses miss the top value at {where}"
             if not lifted_x.meet(lifted_y).is_zero:
                 return f"lifted witnesses are not disjoint at {where}"
-            if lifted_x not in opens or lifted_y not in opens:
+            if lifted_x not in topology.opens or lifted_y not in topology.opens:
                 return f"lifted witnesses are not open in the product at {where}"
     return None
 

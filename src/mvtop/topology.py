@@ -146,9 +146,8 @@ def base_witness(candidate: FuzzyFamily, topology: Topology) -> FuzzySet | None:
     open, in canonical order, that is not the join of the candidate members
     below it.
     """
-    opens = set(topology.opens.members)
     for m in candidate:
-        if m not in opens:
+        if m not in topology.opens:
             return m
     lanes = Lanes(topology.carrier.size, topology.chain.n)
     members = [lanes.pack(m.values) for m in candidate]
@@ -172,8 +171,7 @@ def is_base(candidate: FuzzyFamily, topology: Topology) -> bool:
 def is_subbase(
     candidate: FuzzyFamily, topology: Topology, *, max_size: int = DEFAULT_MAX_OPENS
 ) -> bool:
-    opens = set(topology.opens.members)
-    if any(m not in opens for m in candidate.members):
+    if any(m not in topology.opens for m in candidate):
         return False
     return generate_from_subbase(candidate, max_size=max_size).opens == topology.opens
 
@@ -185,11 +183,10 @@ def large_subbase_witness(family: FuzzyFamily) -> tuple[FuzzySet, int, FuzzySet]
     Multiples stabilize at the crisp support once the multiplicity reaches the
     chain resolution, so only multiplicities up to n need checking.
     """
-    present = {m.values for m in family.members}
-    for m in family.members:
+    for m in family:
         for k in range(2, family.chain.n + 1):
             multiple = m.scaled(k)
-            if multiple.values not in present:
+            if multiple not in family:
                 return m, k, multiple
     return None
 
@@ -207,11 +204,9 @@ def closed_sets(topology: Topology) -> FuzzyFamily:
 
 def clopens(topology: Topology) -> FuzzyFamily:
     """The opens whose complement is open too."""
-    closed = {c.values for c in closed_sets(topology).members}
+    opens = topology.opens
     return FuzzyFamily.of(
-        topology.carrier,
-        topology.chain,
-        (o for o in topology.opens if o.values in closed),
+        topology.carrier, topology.chain, (o for o in opens if o.complement() in opens)
     )
 
 

@@ -298,6 +298,63 @@ def test_subcover_on_a_deep_family_exits_cleanly(tmp_path, cap):
     assert "Traceback" not in proc.stderr
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize("case", ["file", "space reference", "stdin", "deep nesting"])
+def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
+    (tmp_path / "bad.json").write_bytes(NOT_UTF8)
+    (tmp_path / "map.json").write_text(doc({"domain": "bad.json", "codomain": "bad.json", "map": [0]}))
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    args, stdin = {
+        "file": (["check", "topology", "bad.json"], None),
+        "space reference": (["continuity", "map.json"], None),
+        "stdin": (["check", "topology", "-"], NOT_UTF8),
+        "deep nesting": (["subcover", "deep.json"], None),
+    }[case]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+        "PYTHONIOENCODING": "utf-8:strict",  # stdin decodes strictly, as under a UTF-8 locale
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvtop.cli", *args],
+        input=stdin, capture_output=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        (
+            ["subcover", "-"],
+            {"chain": 2, "points": ["a"], "family": [[1.5]]},
+            "1.5 is not an element of the chain 0..2",
+        ),
+        (
+            ["check", "topology", "-"],
+            {"chain": 1, "points": ["a"], "opens": [[0], [True]]},
+            "True is not an element of the chain 0..1",
+        ),
+        (
+            ["continuity", "-"],
+            {"domain": INDISCRETE, "codomain": INDISCRETE, "map": [0, "x"]},
+            "'x' is not a valid codomain index",
+        ),
+    ],
+    ids=["fraction", "bool", "map index"],
+)
+def test_bad_values_and_map_indices_name_the_constructor_check(argv, document, message):
+    code, out, err = run_cli(argv, doc(document))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # -- metric ------------------------------------------------------------------------
 
 

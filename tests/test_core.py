@@ -145,6 +145,20 @@ def test_family_is_canonical_and_deduplicated():
     assert len(family) == 2
 
 
+def test_family_identity_ignores_duplicates_and_input_order():
+    sets = [fs(AB, CH2, 2, 0), fs(AB, CH2, 1, 2), fs(AB, CH2, 0, 1)]
+    family = FuzzyFamily.of(AB, CH2, sets + sets[:2])
+    assert family.members == FuzzyFamily.of(AB, CH2, sets).members
+    assert [m.values for m in family.members] == [(0, 1), (1, 2), (2, 0)]
+    shuffled = FuzzyFamily.of(AB, CH2, reversed(sets))
+    assert shuffled == family
+    assert hash(shuffled) == hash(family)
+    assert len({family, shuffled}) == 1
+    assert repr(family) == (
+        f"FuzzyFamily(carrier={AB!r}, chain={CH2!r}, members={family.members!r})"
+    )
+
+
 def test_family_membership_matches_the_member_set():
     rng = random.Random(5)
     universe = [fs(AB, CH2, a, b) for a in range(3) for b in range(3)]
