@@ -1,8 +1,12 @@
 """Command-line front end: JSON documents in, verdicts and documents out.
 
 Exit codes: 0 verdict true / all cases pass, 1 verdict false / failure found,
-2 usage or input error, 3 resource cap exceeded.  Output is canonical, so a
-rerun on identical input produces byte-identical bytes.
+2 usage or input error, 3 resource cap exceeded.  No result exceeds its cap:
+`gen`, `product` and `metric` exit 3 instead of printing more opens than
+`--max-opens` or the document cap allows.  `check` takes `--oracle` only for
+compact and strong-compact, and `--max-opens` only with `--oracle`; it refuses
+a flag it would ignore (exit 2).  Output is canonical, so a rerun on identical
+input produces byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -112,8 +116,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    doc = _space_document(args.input)
     kind = args.kind
+    if args.oracle and kind not in ("compact", "strong-compact"):
+        raise InputError(f"--oracle applies to compact and strong-compact, not {kind}")
+    if args.max_opens is not None and not args.oracle:
+        raise InputError("--max-opens bounds the brute-force oracle and requires --oracle")
+    max_opens = args.max_opens or DEFAULT_ORACLE_OPENS
+    doc = _space_document(args.input)
     report: dict = {"check": kind}
 
     if kind == "topology":
@@ -139,9 +148,9 @@ def _cmd_check(args) -> int:
             strong = kind == "strong-compact"
             if args.oracle:
                 oracle = (
-                    brute_force_strong_compactness(topology, max_opens=args.max_opens)
+                    brute_force_strong_compactness(topology, max_opens=max_opens)
                     if strong
-                    else brute_force_compactness(topology, max_opens=args.max_opens)
+                    else brute_force_compactness(topology, max_opens=max_opens)
                 )
                 report["verdict"] = oracle.compact
                 report["method"] = "brute-force"
@@ -290,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--oracle", action="store_true", help="force brute-force compactness")
     p.add_argument(
-        "--max-opens", type=_positive_int, default=DEFAULT_ORACLE_OPENS, help="oracle opens cap"
+        "--max-opens",
+        type=_positive_int,
+        default=None,
+        help=f"oracle opens cap, with --oracle (default {DEFAULT_ORACLE_OPENS})",
     )
     p.set_defaults(func=_cmd_check)
 

@@ -184,10 +184,6 @@ class FuzzySet:
         self._same_space(other)
         return all(a <= b for a, b in zip(self.values, other.values))
 
-    def support(self) -> frozenset[int]:
-        """Indices of the points where the set is positive."""
-        return frozenset(i for i, v in enumerate(self.values) if v > 0)
-
     @property
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)

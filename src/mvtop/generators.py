@@ -26,13 +26,17 @@ from .topology import (
 
 _LABELS = "abcdefgh"
 
+# random_compact_pair keeps materialized products within this brute-force
+# oracle cap, and the tychonoff suite runs the oracle with it
+PAIR_PRODUCT_OPENS = 16
+
 
 def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
 
 
-def random_carrier(rng: random.Random, max_points: int, *, min_points: int = 1) -> Carrier:
-    size = rng.randint(min_points, max_points)
+def random_carrier(rng: random.Random, max_points: int) -> Carrier:
+    size = rng.randint(1, max_points)
     return Carrier(tuple(_LABELS[:size]))
 
 
@@ -53,9 +57,9 @@ def random_crisp_set(rng: random.Random, carrier: Carrier, chain: Chain) -> Fuzz
 
 
 def random_family(
-    rng: random.Random, carrier: Carrier, chain: Chain, max_members: int, *, min_members: int = 0
+    rng: random.Random, carrier: Carrier, chain: Chain, max_members: int
 ) -> FuzzyFamily:
-    count = rng.randint(min_members, max_members)
+    count = rng.randint(0, max_members)
     return FuzzyFamily.of(
         carrier, chain, (random_fuzzy_set(rng, carrier, chain) for _ in range(count))
     )
@@ -73,11 +77,9 @@ def _generate_or_none(subbase: FuzzyFamily, max_opens: int) -> Topology | None:
     """The generated topology, or None (a rejected sample) when it has more
     than max_opens opens."""
     try:
-        topology = generate_from_subbase(subbase, max_size=max_opens)
+        return generate_from_subbase(subbase, max_size=max_opens)
     except ResourceLimitError:
         return None
-    # the cap counts what a closure adds: the seeded 0 and 1 can end two past it
-    return topology if len(topology.opens) <= max_opens else None
 
 
 def random_topology(
@@ -87,7 +89,6 @@ def random_topology(
     *,
     max_subbase: int = 3,
     max_opens: int = 64,
-    attempts: int = 50,
 ) -> Topology:
     """A topology generated from a small random subbase, resampled to respect
     the opens cap; falls back to the indiscrete topology.
@@ -95,7 +96,7 @@ def random_topology(
     Nonempty subbases are favored and crisp members mixed in, which spreads
     the samples away from the indiscrete corner while keeping closures small.
     """
-    for _ in range(attempts):
+    for _ in range(50):
         count = rng.choice((0, 1, 1, 2) + (max_subbase,) * (max_subbase > 2))
         members = [
             random_crisp_set(rng, carrier, chain)
@@ -116,53 +117,48 @@ def random_topology_where(
     predicate: Callable[[Topology], bool],
     fallback: Callable[[Carrier, Chain], Topology],
     *,
-    max_subbase: int = 3,
-    max_opens: int = 64,
-    attempts: int = 60,
     crisp_bias: float = 0.0,
     singleton_bias: float = 0.0,
 ) -> Topology:
-    """Resample random topologies until the predicate holds.
+    """Resample random topologies of at most 64 opens from subbases of at most
+    3 random members until the predicate holds.
 
     crisp_bias makes individual subbase members crisp with that probability;
     singleton_bias seeds the subbase with full-value one-point sets, which
     pushes the samples toward separated spaces.
     """
     n = chain.n
-    for _ in range(attempts):
+    for _ in range(60):
         members: list[FuzzySet] = []
         if singleton_bias and rng.random() < singleton_bias:
             for x in range(carrier.size):
                 values = tuple(n if i == x else 0 for i in range(carrier.size))
                 members.append(FuzzySet(carrier, chain, values))
-        for _ in range(rng.randint(0, max_subbase)):
+        for _ in range(rng.randint(0, 3)):
             if crisp_bias and rng.random() < crisp_bias:
                 members.append(random_crisp_set(rng, carrier, chain))
             else:
                 members.append(random_fuzzy_set(rng, carrier, chain))
-        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), max_opens)
+        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), 64)
         if topology is not None and predicate(topology):
             return topology
     return fallback(carrier, chain)
 
 
-def random_hausdorff_topology(
-    rng: random.Random, carrier: Carrier, chain: Chain, *, max_opens: int = 64
-) -> Topology:
+def random_hausdorff_topology(rng: random.Random, carrier: Carrier, chain: Chain) -> Topology:
     return random_topology_where(
         rng,
         carrier,
         chain,
         is_hausdorff,
         crisp_discrete,
-        max_opens=max_opens,
         singleton_bias=0.9,
         crisp_bias=0.3,
     )
 
 
 def random_zero_dimensional_topology(
-    rng: random.Random, carrier: Carrier, chain: Chain, *, max_opens: int = 64
+    rng: random.Random, carrier: Carrier, chain: Chain
 ) -> Topology:
     return random_topology_where(
         rng,
@@ -170,14 +166,11 @@ def random_zero_dimensional_topology(
         chain,
         is_zero_dimensional,
         crisp_discrete,
-        max_opens=max_opens,
         crisp_bias=0.7,
     )
 
 
-def random_stone_topology(
-    rng: random.Random, carrier: Carrier, chain: Chain, *, max_opens: int = 64
-) -> Topology:
+def random_stone_topology(rng: random.Random, carrier: Carrier, chain: Chain) -> Topology:
     # finite spaces are compact, so Stone reduces to Hausdorff + zero-dimensional
     return random_topology_where(
         rng,
@@ -185,39 +178,27 @@ def random_stone_topology(
         chain,
         lambda t: is_hausdorff(t) and is_zero_dimensional(t),
         crisp_discrete,
-        max_opens=max_opens,
         singleton_bias=0.9,
         crisp_bias=0.6,
     )
 
 
-def random_compact_pair(
-    rng: random.Random,
-    *,
-    max_points: int = 2,
-    max_n: int = 2,
-    max_factor_opens: int = 6,
-    max_product_opens: int = 16,
-    attempts: int = 200,
-) -> ProductSpace:
-    """A two-factor product whose factors respect the opens bound and whose
-    materialized product stays small enough for the brute-force oracle."""
-    for _ in range(attempts):
-        chain = random_chain(rng, max_n)
+def random_compact_pair(rng: random.Random) -> ProductSpace:
+    """A product of two factors of at most 2 points and 6 opens, over a chain
+    with n <= 2, whose materialized product has at most PAIR_PRODUCT_OPENS
+    opens, small enough for the brute-force oracle."""
+    for _ in range(200):
+        chain = random_chain(rng, 2)
         factors = []
         for _ in range(2):
-            size = max_points if rng.random() < 0.8 else rng.randint(1, max_points)
-            carrier = Carrier(tuple("abcdefgh"[:size]))
-            factors.append(
-                random_topology(
-                    rng, carrier, chain, max_subbase=2, max_opens=max_factor_opens
-                )
-            )
+            size = 2 if rng.random() < 0.8 else rng.randint(1, 2)
+            carrier = Carrier(tuple(_LABELS[:size]))
+            factors.append(random_topology(rng, carrier, chain, max_subbase=2, max_opens=6))
         space = product(factors)
-        if len(space.topology().opens) <= max_product_opens:
+        if len(space.topology().opens) <= PAIR_PRODUCT_OPENS:
             return space
     chain = Chain(1)
-    base = indiscrete(random_carrier(rng, max_points), chain)
+    base = indiscrete(random_carrier(rng, 2), chain)
     return product([base, base])
 
 
@@ -290,9 +271,8 @@ def coordinate_ideal(carrier: Carrier, chain: Chain, zero_at: Sequence[int]) -> 
 
 
 def random_coordinate_ideal(
-    rng: random.Random, carrier: Carrier, chain: Chain, *, avoid: int | None = None
+    rng: random.Random, carrier: Carrier, chain: Chain
 ) -> tuple[FuzzyFamily, frozenset[int]]:
-    """A random coordinate ideal whose zero set avoids the given point."""
-    candidates = [i for i in range(carrier.size) if i != avoid]
-    zero_at = frozenset(i for i in candidates if rng.random() < 0.6)
+    """A random coordinate ideal; each point is a zero coordinate with probability 0.6."""
+    zero_at = frozenset(i for i in range(carrier.size) if rng.random() < 0.6)
     return coordinate_ideal(carrier, chain, zero_at), zero_at

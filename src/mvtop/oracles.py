@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .core import FuzzyFamily, FuzzySet
 from .covers import CoverCertificate
@@ -74,18 +75,26 @@ def naive_check_hausdorff(topology: Topology) -> SeparationReport:
     return SeparationReport(True, tuple(witnesses), None)
 
 
+def _sum_reaches_top(
+    multiplicities: Iterable[tuple[int, int]], members: Sequence[FuzzySet], size: int, n: int
+) -> bool:
+    """True iff the pointwise sum of members[i] times m, over the (i, m) pairs,
+    reaches n at every one of the size points."""
+    acc = [0] * size
+    for i, m in multiplicities:
+        if m:
+            for x, v in enumerate(members[i].values):
+                acc[x] += m * v
+    return all(a >= n for a in acc)
+
+
 def exhaustive_additive_subcover_exists(family: FuzzyFamily) -> bool:
     """Scan every multiplicity vector with entries in 0..n for a valid sum."""
     n = family.chain.n
     members = family.members
     size = family.carrier.size
     for vector in itertools.product(range(n + 1), repeat=len(members)):
-        acc = [0] * size
-        for m, member in zip(vector, members):
-            if m:
-                for i, v in enumerate(member.values):
-                    acc[i] += m * v
-        if all(a >= n for a in acc):
+        if _sum_reaches_top(enumerate(vector), members, size, n):
             return True
     return False
 
@@ -99,12 +108,7 @@ def exhaustive_minimal_additive_cover(
     size = family.carrier.size
     best: tuple[int, tuple[int, ...]] | None = None
     for vector in itertools.product(range(n + 1), repeat=len(members)):
-        acc = [0] * size
-        for m, member in zip(vector, members):
-            if m:
-                for i, v in enumerate(member.values):
-                    acc[i] += m * v
-        if all(a >= n for a in acc):
+        if _sum_reaches_top(enumerate(vector), members, size, n):
             total = sum(vector)
             if best is None or total < best[0]:
                 best = (total, vector)
@@ -140,11 +144,7 @@ def exhaustive_certificate_for_cover(
                 counts[i] = counts.get(i, 0) + 1
             if any(c > n for c in counts.values()):
                 continue
-            acc = [0] * size
-            for i, c in counts.items():
-                for x, v in enumerate(members[i].values):
-                    acc[x] += c * v
-            if all(a >= n for a in acc):
+            if _sum_reaches_top(counts.items(), members, size, n):
                 return CoverCertificate(
                     tuple((members[i], c) for i, c in sorted(counts.items()))
                 )

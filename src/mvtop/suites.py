@@ -12,10 +12,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Chain, FuzzyFamily, FuzzySet, is_filter, is_ideal, mv_preimage
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, is_filter, is_ideal, mv_preimage
 from .covers import is_additive_cover, product_subbasic_subcover
 from .errors import PreconditionError
 from .generators import (
+    PAIR_PRODUCT_OPENS,
     case_rng,
     coordinate_ideal,
     random_carrier,
@@ -36,6 +37,7 @@ from .maps import is_continuous, is_continuous_via_base, is_open_map
 from .oracles import brute_force_compactness, naive_generate_opens
 from .product import product
 from .topology import (
+    Topology,
     base_from_subbase,
     check_hausdorff,
     clopens,
@@ -81,6 +83,12 @@ def render_report(report: SuiteReport) -> str:
 
 def _vectors(family: FuzzyFamily) -> list[tuple[int, ...]]:
     return [m.values for m in family.members]
+
+
+def _factors_where(factors: list[Topology]) -> str:
+    """The factors' opens, for a failure detail; the factors share one chain."""
+    described = "; ".join(f"factor {i}: opens={_vectors(f.opens)}" for i, f in enumerate(factors))
+    return f"{described} (n={factors[0].chain.n})"
 
 
 # -- algebra ---------------------------------------------------------------------
@@ -255,8 +263,7 @@ def _case_tychonoff(rng: random.Random) -> str | None:
         report = brute_force_compactness(factor)
         if not report.compact:
             return f"oracle found a non-compact factor {i} at {where}"
-    # the pair generator keeps materialized products within this oracle cap
-    report = brute_force_compactness(space.topology(), max_opens=16)
+    report = brute_force_compactness(space.topology(), max_opens=PAIR_PRODUCT_OPENS)
     if not report.compact:
         return f"oracle found the product non-compact at {where}"
     for _ in range(20):
@@ -276,9 +283,7 @@ def _case_hausdorff_product(rng: random.Random) -> str | None:
     ]
     space = product(factors)
     topology = space.topology()
-    where = "; ".join(
-        f"factor {i}: opens={_vectors(f.opens)}" for i, f in enumerate(factors)
-    ) + f" (n={chain.n})"
+    where = _factors_where(factors)
     if not is_hausdorff(topology):
         return f"product of separated factors is not separated at {where}"
 
@@ -304,33 +309,28 @@ def _case_hausdorff_product(rng: random.Random) -> str | None:
     return None
 
 
-def _case_zerodim_product(rng: random.Random) -> str | None:
+def _product_preserves(
+    rng: random.Random,
+    draw: Callable[[random.Random, Carrier, Chain], Topology],
+    holds: Callable[[Topology], bool],
+    what: str,
+) -> str | None:
+    """Draw two factors with the property and check it on their product."""
     chain = random_chain(rng, 2)
-    factors = [
-        random_zero_dimensional_topology(rng, random_carrier(rng, 2), chain)
-        for _ in range(2)
-    ]
-    space = product(factors)
-    where = "; ".join(
-        f"factor {i}: opens={_vectors(f.opens)}" for i, f in enumerate(factors)
-    ) + f" (n={chain.n})"
-    if not is_zero_dimensional(space.topology()):
-        return f"product of zero-dimensional factors is not zero-dimensional at {where}"
+    factors = [draw(rng, random_carrier(rng, 2), chain) for _ in range(2)]
+    if not holds(product(factors).topology()):
+        return f"product of {what} factors is not {what} at {_factors_where(factors)}"
     return None
+
+
+def _case_zerodim_product(rng: random.Random) -> str | None:
+    return _product_preserves(
+        rng, random_zero_dimensional_topology, is_zero_dimensional, "zero-dimensional"
+    )
 
 
 def _case_stone_product(rng: random.Random) -> str | None:
-    chain = random_chain(rng, 2)
-    factors = [
-        random_stone_topology(rng, random_carrier(rng, 2), chain) for _ in range(2)
-    ]
-    space = product(factors)
-    where = "; ".join(
-        f"factor {i}: opens={_vectors(f.opens)}" for i, f in enumerate(factors)
-    ) + f" (n={chain.n})"
-    if not is_stone(space.topology()):
-        return f"product of Stone factors is not Stone at {where}"
-    return None
+    return _product_preserves(rng, random_stone_topology, is_stone, "Stone")
 
 
 # -- ideal and filter claims -------------------------------------------------------
@@ -405,9 +405,7 @@ def _case_lemma1(rng: random.Random) -> str | None:
         for _ in range(2)
     ]
     space = product(factors)
-    where = "; ".join(
-        f"factor {i}: opens={_vectors(f.opens)}" for i, f in enumerate(factors)
-    ) + f" (n={chain.n})"
+    where = _factors_where(factors)
 
     if rng.random() < 0.25:
         entries = random_subbasic_noncover(rng, space)

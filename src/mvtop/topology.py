@@ -1,8 +1,8 @@
 """MV-topologies on finite carriers: generation from subbases and decidable predicates.
 
 Topologies are stored extensionally (the full family of opens), so every
-predicate is a finite scan.  Generation is a fixpoint closure guarded by a
-configurable size cap.
+predicate is a finite scan.  Generation closes the subbase under the base
+operations, then joins the base members; both steps stop at the same size cap.
 
 The hot scans (closure, the topology, base and Hausdorff checks) pack their
 fuzzy sets into `core.Lanes` ints once, compute on those, and turn results back
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import covers as _covers
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Lanes
@@ -61,53 +61,61 @@ def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
     return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
 
 
-def _closure(start: FuzzyFamily, ops: Sequence[str], max_size: int, what: str) -> FuzzyFamily:
-    """Least superset of start closed under the named commutative `Lanes` ops.
+def _extend(queue: list[int], seen: set[int], new: Iterable[int], cap: int, what: str) -> None:
+    """Append the values of new not yet seen; the one that takes a closure past
+    its cap raises, so a cap error always reads one past the cap."""
+    for z in new:
+        if z not in seen:
+            seen.add(z)
+            if len(seen) > cap:
+                raise ResourceLimitError(
+                    f"{what} closure exceeded the size cap", limit=cap, reached=len(seen)
+                )
+            queue.append(z)
+
+
+def base_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS) -> FuzzyFamily:
+    """Least family containing the subbase and closed under oplus, odot, and meet.
 
     Semi-naive order: each member taken from the queue is combined only with
     the members taken before it and with itself.
     """
-    carrier, chain = start.carrier, start.chain
+    carrier, chain = subbase.carrier, subbase.chain
     lanes = Lanes(carrier.size, chain.n)
-    fns = [getattr(lanes, op) for op in ops]
-    queue = [lanes.pack(m.values) for m in start]
-    seen = set(queue)
+    queue: list[int] = []
+    seen: set[int] = set()
+    _extend(queue, seen, (lanes.pack(m.values) for m in subbase), max_size, "base")
     for i, x in enumerate(queue):
         for y in queue[: i + 1]:
-            for op in fns:
-                z = op(x, y)
-                if z not in seen:
-                    seen.add(z)
-                    if len(seen) > max_size:
-                        raise ResourceLimitError(
-                            f"{what} closure exceeded the size cap",
-                            limit=max_size,
-                            reached=len(seen),
-                        )
-                    queue.append(z)
+            results = (lanes.oplus(x, y), lanes.odot(x, y), lanes.meet(x, y))
+            _extend(queue, seen, results, max_size, "base")
     return FuzzyFamily.of(
         carrier, chain, (FuzzySet(carrier, chain, lanes.unpack(z)) for z in queue)
     )
 
 
-def base_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS) -> FuzzyFamily:
-    """Least family containing the subbase and closed under oplus, odot, and meet."""
-    return _closure(subbase, ("oplus", "odot", "meet"), max_size, "base")
-
-
 def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS) -> Topology:
-    """The least topology containing the subbase.
+    """The least topology containing the subbase: 0, 1 and every join of base members.
 
-    The base closure is computed first; all joins of its subfamilies are then
-    obtained as the binary-join closure (the family is finite).  Joins
-    distribute over the base operations pointwise, so no further alternation
-    is needed.
+    Joins distribute over the base operations pointwise, so joining the base
+    members is the last step.  They are taken in canonical order, which extends
+    the pointwise order: a member that is a join of members below it is open by
+    its turn, and only a member that is not yet open is joined with every open
+    so far (Birkhoff: the join-irreducible ones generate the lattice).
     """
     carrier, chain = subbase.carrier, subbase.chain
+    lanes = Lanes(carrier.size, chain.n)
     base = base_from_subbase(subbase, max_size=max_size)
-    seeded = base.with_members((FuzzySet.zero(carrier, chain), FuzzySet.one(carrier, chain)))
-    opens = _closure(seeded, ("join",), max_size, "topology")
-    return Topology(carrier, chain, opens)
+    opens: list[int] = []
+    seen: set[int] = set()
+    _extend(opens, seen, (0, lanes.top), max_size, "topology")
+    for m in base:
+        b = lanes.pack(m.values)
+        if b not in seen:
+            # a list, not a generator: the joins are taken with the opens so far
+            _extend(opens, seen, [lanes.join(t, b) for t in opens], max_size, "topology")
+    members = (FuzzySet(carrier, chain, lanes.unpack(z)) for z in opens)
+    return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
 
 
 def topology_violation(family: FuzzyFamily) -> str | None:

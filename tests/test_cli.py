@@ -72,6 +72,11 @@ def test_gen_cap_breach_exits_3():
     code, _, err = run_cli(["gen", "--max-opens", "2", "-"], doc(HALF))
     assert code == 3
     assert "cap" in err
+    # the seeded 0 and 1 count against the cap like every other open
+    crisp = {"chain": 1, "points": ["a", "b"], "subbase": [[1, 0]]}
+    code, out, err = run_cli(["gen", "--max-opens", "1", "-"], doc(crisp))
+    assert (code, out) == (3, "")
+    assert err.endswith("(cap 1, reached 2)\n")
 
 
 # -- check -------------------------------------------------------------------------
@@ -136,6 +141,27 @@ def test_check_strong_compact_oracle():
     code, out, _ = run_cli(["check", "strong-compact", "--oracle", "-"], doc(DISCRETE))
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["hausdorff", "--max-opens", "1"], "--max-opens bounds the brute-force oracle"),
+        (["hausdorff", "--oracle"], "--oracle applies to compact and strong-compact"),
+    ],
+    ids=["max-opens without oracle", "oracle on hausdorff"],
+)
+def test_check_refuses_flags_it_would_ignore(tmp_path, args, message):
+    (tmp_path / "space.json").write_text(doc(DISCRETE), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvtop.cli", "check", *args, "space.json"],
+        capture_output=True, cwd=tmp_path, env=env, timeout=60, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
 def test_check_topology_detects_violations():
@@ -225,6 +251,14 @@ def test_product_single_factor_is_identity_modulo_relabeling(tmp_path):
     report = json.loads(out)
     assert report["points"] == ["(a)", "(b)"]
     assert report["opens"] == DISCRETE["opens"]
+
+
+def test_product_cap_error_reports_one_past_the_cap(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(doc(DISCRETE), encoding="utf-8")
+    code, out, err = run_cli(["product", "--max-opens", "1", str(path), str(path)])
+    assert (code, out) == (3, "")
+    assert err == "error: base closure exceeded the size cap (cap 1, reached 2)\n"
 
 
 def test_product_chain_mismatch_exits_2(tmp_path):

@@ -85,6 +85,28 @@ def test_generation_caps_are_enforced():
         generate_from_subbase(family(X, CH2, (1,)), max_size=2)
 
 
+def test_generation_caps_are_exact():
+    # every cap from 1 past the opens count: the opens come back whole while
+    # they fit, and the member that takes a closure past its cap raises
+    rng = random.Random(31)
+    for _ in range(60):
+        chain = Chain(rng.randint(1, 3))
+        carrier = Carrier(tuple("abc"[: rng.randint(1, 3)]))
+        members = [
+            FuzzySet(carrier, chain, tuple(rng.randint(0, chain.n) for _ in range(carrier.size)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        subbase = FuzzyFamily.of(carrier, chain, members)
+        opens = generate_from_subbase(subbase).opens
+        for cap in range(1, len(opens) + 2):
+            if len(opens) <= cap:
+                assert generate_from_subbase(subbase, max_size=cap).opens == opens
+                continue
+            with pytest.raises(ResourceLimitError) as err:
+                generate_from_subbase(subbase, max_size=cap)
+            assert str(err.value).endswith(f"(cap {cap}, reached {cap + 1})")
+
+
 def test_generation_is_idempotent_on_topologies():
     topology = generate_from_subbase(family(AB, CH2, (1, 2), (2, 0)))
     again = generate_from_subbase(topology.opens)
