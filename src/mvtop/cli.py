@@ -258,10 +258,7 @@ def _cmd_continuity(args) -> int:
     base_dir = None if args.input == "-" else Path(args.input).parent
     doc = parse_map_document(loads_document(_read_input(args.input)), base_dir=base_dir)
     domain = _topology_from(doc.domain, "continuity domain")
-    if doc.codomain == doc.domain:
-        codomain = domain
-    else:
-        codomain = _topology_from(doc.codomain, "continuity codomain")
+    codomain = _topology_from(doc.codomain, "continuity codomain")
     witness = continuity_counterexample(doc.map, domain, codomain)
     report: dict = {"check": "continuity", "verdict": witness is None}
     if witness is not None:

@@ -410,19 +410,28 @@ class Term:
 
     @property
     def length(self) -> int:
-        if self.op == VAR:
-            return 1
-        return 1 + self.left.length + self.right.length
+        return len(_subterms(self))
 
     @property
     def arity(self) -> int:
-        if self.op == VAR:
-            return self.index + 1
-        return max(self.left.arity, self.right.arity)
+        return 1 + max(node.index for node in _subterms(self) if node.op == VAR)
 
 
-def eval_term(term: Term, args: Sequence[FuzzySet]) -> FuzzySet:
-    """Evaluate the term with the pointwise chain operations."""
+def _subterms(term: Term) -> list[Term]:
+    """Every node of the term tree, children before parents, from a walk on an
+    explicit stack, so a deep term does not hit the recursion limit."""
+    order, stack = [], [term]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node.op != VAR:
+            stack += (node.left, node.right)
+    return order[::-1]
+
+
+def _subterm_values(term: Term, args: Sequence[FuzzySet]) -> dict[int, FuzzySet]:
+    """The value of every subterm with the pointwise chain operations, keyed by
+    node identity (hashing a term would recurse), from one post-order pass."""
     if term.arity > len(args):
         raise InputError(
             f"term uses {term.arity} variables but only {len(args)} arguments were given"
@@ -430,18 +439,25 @@ def eval_term(term: Term, args: Sequence[FuzzySet]) -> FuzzySet:
     first = args[0]
     for a in args[1:]:
         first._same_space(a)
-
-    def walk(node: Term) -> FuzzySet:
+    values: dict[int, FuzzySet] = {}
+    for node in _subterms(term):
         if node.op == VAR:
-            return args[node.index]
-        lhs, rhs = walk(node.left), walk(node.right)
-        if node.op == OPLUS:
-            return lhs.oplus(rhs)
-        if node.op == ODOT:
-            return lhs.odot(rhs)
-        return lhs.meet(rhs)
+            value = args[node.index]
+        else:
+            lhs, rhs = values[id(node.left)], values[id(node.right)]
+            if node.op == OPLUS:
+                value = lhs.oplus(rhs)
+            elif node.op == ODOT:
+                value = lhs.odot(rhs)
+            else:
+                value = lhs.meet(rhs)
+        values[id(node)] = value
+    return values
 
-    return walk(term)
+
+def eval_term(term: Term, args: Sequence[FuzzySet]) -> FuzzySet:
+    """Evaluate the term with the pointwise chain operations."""
+    return _subterm_values(term, args)[id(term)]
 
 
 def term_witness(
@@ -455,10 +471,12 @@ def term_witness(
     is in the family, preferring the left one.  A multiplicative node where
     neither side lies in the family is outside this operation's domain: that
     decomposition property belongs to maximal covers, not to every ideal.
+    Every subterm is evaluated once, before the descent.
     """
     if not is_ideal(family):
         raise PreconditionError("the family is not an ideal")
-    value = eval_term(term, args)
+    values = _subterm_values(term, args)
+    value = values[id(term)]
     if not 0 <= point < value.carrier.size:
         raise InputError(f"{point!r} is not a valid point index")
     if value not in family:
@@ -468,8 +486,8 @@ def term_witness(
 
     node = term
     while node.op != VAR:
-        left_value = eval_term(node.left, args)
-        right_value = eval_term(node.right, args)
+        left_value = values[id(node.left)]
+        right_value = values[id(node.right)]
         if node.op == OPLUS:
             node = node.left if left_value.values[point] > 0 else node.right
         else:

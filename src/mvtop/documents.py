@@ -188,7 +188,7 @@ def parse_map_document(obj: Any, *, base_dir: Path | None = None) -> MapDocument
                 raw = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, UnicodeDecodeError) as exc:
                 raise InputError(f"cannot read {what} space reference {value!r}: {exc}")
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, digit limit
                 raise InputError(f"{what} space reference {value!r} is not valid JSON: {exc}")
             return parse_space_document(raw)
         return parse_space_document(value)
@@ -278,7 +278,9 @@ def dumps_canonical(obj: dict) -> str:
 
 
 def loads_document(text: str) -> Any:
+    """Parse JSON text; malformed JSON, an integer literal past the interpreter's
+    digit limit and nesting past its recursion limit are input errors."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from None

@@ -179,18 +179,10 @@ def _case_generation(rng: random.Random) -> str | None:
     if not all(m in bigger for m in base_once):
         return f"base closure is not monotone at {where}"
 
-    closed = closed_sets(topology)
-    for a in closed:
-        for b in closed:
-            for out in (a.oplus(b), a.odot(b), a.join(b), a.meet(b)):
-                if out not in closed:
-                    return f"closed sets are not closed under the dual operations at {where}"
-    clo = clopens(topology)
-    for a in clo:
-        for b in clo:
-            for out in (a.oplus(b), a.odot(b), a.meet(b)):
-                if out not in clo:
-                    return f"clopens are not closed under sums, products, and infima at {where}"
+    if not is_topology(closed_sets(topology)):
+        return f"closed sets are not closed under the dual operations at {where}"
+    if not is_topology(clopens(topology)):
+        return f"clopens do not form a topology at {where}"
     return None
 
 

@@ -3,6 +3,8 @@
 Topologies are stored extensionally (the full family of opens), so every
 predicate is a finite scan.  Generation closes the subbase under the base
 operations, then joins the base members; both steps stop at the same size cap.
+Validation checks closure on the join-irreducible members only: oplus, odot
+and meet distribute over join, and every member is a join of them.
 
 The hot scans (closure, the topology, base and Hausdorff checks) pack their
 fuzzy sets into `core.Lanes` ints once, compute on those, and turn results back
@@ -119,8 +121,17 @@ def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_O
 
 
 def topology_violation(family: FuzzyFamily) -> str | None:
-    """The first failed closure condition, described, or None when the family
-    satisfies all of them."""
+    """The first failed closure condition found, described, or None when the
+    family is a topology.
+
+    Closure is decided on the join-irreducible members J.  Int order extends
+    the pointwise order, so one canonical pass finds J: a member is in J iff
+    the J-members below it do not join to it, and every member is the join of
+    the J-members below it.  Pointwise on a chain, oplus, odot and meet
+    distribute over join, so the family is closed iff x join j is present for
+    every member x and j in J, and j oplus j', j odot j' and j meet j' are
+    present for all j, j' in J: O(|F|·|J| + |J|²).
+    """
     lanes = Lanes(family.carrier.size, family.chain.n)
     members = [lanes.pack(m.values) for m in family]
     present = set(members)
@@ -128,13 +139,26 @@ def topology_violation(family: FuzzyFamily) -> str | None:
         return "the zero set is missing"
     if lanes.top not in present:
         return "the unit set is missing"
-    ops = [(name, getattr(lanes, name)) for name in ("oplus", "odot", "meet", "join")]
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            for name, op in ops:
-                out = op(a, b)
+    irreducible: list[int] = []
+    for j in members:
+        below = 0
+        for i in irreducible:
+            if lanes.leq(i, j):
+                below = lanes.join(below, i)
+        if below == j:
+            continue
+        # j is join-irreducible: join it with every member, combine it with J
+        irreducible.append(j)
+        for name, op, others in (
+            ("join", lanes.join, members),
+            ("oplus", lanes.oplus, irreducible),
+            ("odot", lanes.odot, irreducible),
+            ("meet", lanes.meet, irreducible),
+        ):
+            for x in others:
+                out = op(x, j)
                 if out not in present:
-                    # binary joins decide closure under joins of arbitrary subfamilies
+                    a, b = sorted((x, j))
                     return (
                         f"not closed under {name}: {list(lanes.unpack(a))} with "
                         f"{list(lanes.unpack(b))} gives {list(lanes.unpack(out))}"

@@ -6,12 +6,18 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout, redirect_stderr
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvtop import cli
 from mvtop.cli import main
+from mvtop.suites import SUITES
 
 
 def run_cli(args, stdin_text=None):
@@ -335,16 +341,35 @@ def test_subcover_on_a_deep_family_exits_cleanly(tmp_path, cap):
 NOT_UTF8 = b"\xff\xfe{}"
 
 
-@pytest.mark.parametrize("case", ["file", "space reference", "stdin", "deep nesting"])
+HUGE_CHAIN = '{"chain": ' + "9" * 5000 + ', "points": ["a"], "subbase": []}'
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "file",
+        "space reference",
+        "stdin",
+        "deep nesting",
+        "huge integer",
+        "huge integer reference",
+    ],
+)
 def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
     (tmp_path / "bad.json").write_bytes(NOT_UTF8)
     (tmp_path / "map.json").write_text(doc({"domain": "bad.json", "codomain": "bad.json", "map": [0]}))
     (tmp_path / "deep.json").write_text("[" * 100000)
+    (tmp_path / "huge.json").write_text(HUGE_CHAIN)
+    (tmp_path / "hugemap.json").write_text(
+        doc({"domain": "huge.json", "codomain": "huge.json", "map": [0]})
+    )
     args, stdin = {
         "file": (["check", "topology", "bad.json"], None),
         "space reference": (["continuity", "map.json"], None),
         "stdin": (["check", "topology", "-"], NOT_UTF8),
         "deep nesting": (["subcover", "deep.json"], None),
+        "huge integer": (["gen", "huge.json"], None),
+        "huge integer reference": (["continuity", "hugemap.json"], None),
     }[case]
     env = {
         **os.environ,
@@ -441,22 +466,6 @@ def test_continuity_verdicts():
     assert json.loads(out2)["witness"] == [0, 1]
 
 
-def test_continuity_validates_a_self_map_space_once(monkeypatch):
-    calls = []
-    real = cli.topology_violation
-    monkeypatch.setattr(
-        cli, "topology_violation", lambda family: calls.append(family) or real(family)
-    )
-    for codomain, expected_calls in ((DISCRETE, 1), (INDISCRETE, 2)):
-        calls.clear()
-        code, out, _ = run_cli(
-            ["continuity", "-"], doc({"domain": DISCRETE, "codomain": codomain, "map": [1, 0]})
-        )
-        assert code == 0
-        assert out == '{\n  "check": "continuity",\n  "verdict": true\n}\n'
-        assert len(calls) == expected_calls
-
-
 # -- verify -------------------------------------------------------------------------
 
 
@@ -509,3 +518,143 @@ def test_document_caps_reject_max_nodes():
     assert code == 2
     assert out == ""
     assert err == "error: caps has unknown fields: max_nodes\n"
+
+
+# -- fuzzing ------------------------------------------------------------------------
+
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.sampled_from([1.5, "1/2", "p0", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+FAULTS = ["none", "none", "none", "drop", "add", "junk", "value", "flag", "cut"]
+
+
+def labels(k):
+    return [f"p{i}" for i in range(k)]
+
+
+@st.composite
+def vectors(draw, n, k):
+    return draw(st.lists(st.lists(st.integers(0, n), min_size=k, max_size=k), max_size=8))
+
+
+@st.composite
+def space_objects(draw):
+    """A space on at most 4 points with at most 8 vectors; opens are often a real topology."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    members = draw(vectors(n, k))
+    kind = draw(st.sampled_from(["opens", "subbase"]))
+    if kind == "opens":
+        subbase = {"chain": n, "points": labels(k), "subbase": members[: draw(st.integers(0, 2))]}
+        code, out, _ = run_cli(["gen", "--max-opens", "8", "-"], doc(subbase))
+        if code == 0 and draw(st.booleans()):
+            members = json.loads(out)["opens"]
+        else:
+            members = [[0] * k, [n] * k] + members[:6]
+    return {"chain": n, "points": labels(k), kind: members}
+
+
+COMMANDS = ["gen", *(f"check {kind}" for kind in cli.CHECK_KINDS), "product", "mincover"]
+COMMANDS += ["subcover", "metric", "continuity", "verify"]
+
+
+@st.composite
+def cli_calls(draw, command):
+    """An argv naming files, the texts of those files, and at most one fault:
+    a field dropped, added or replaced by junk, a value off its range, a bad
+    flag, or the main document cut short."""
+    fault = draw(st.sampled_from(FAULTS))
+    bad = fault == "value"
+    space = draw(space_objects())
+    if bad and draw(st.booleans()):  # a value off the chain, or a vector of the wrong length
+        kind = "opens" if "opens" in space else "subbase"
+        space[kind] = space[kind][:7] + [draw(st.lists(st.integers(-1, 4), max_size=5))]
+    files = {"space.json": space}
+    cap = draw(st.sampled_from(["0", "x", "-3"] if fault == "flag" else ["1", "2", "8", "64"]))
+    if command == "gen":
+        argv = ["gen", "space.json", "--max-opens", cap]
+    elif command.startswith("check"):
+        kind = "bogus" if fault == "flag" and draw(st.booleans()) else command.split()[1]
+        argv = ["check", kind, "space.json"]
+        if kind in ("compact", "strong-compact") or fault == "flag":
+            argv += draw(st.sampled_from([[], ["--oracle"], ["--oracle", "--max-opens", "4"]]))
+    elif command == "product":
+        files["other.json"] = draw(space_objects())
+        argv = ["product", "space.json", "other.json", "--max-opens", cap]
+        argv += draw(st.sampled_from([[], ["--subbase-only"]]))
+    elif command in ("mincover", "subcover"):
+        n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        members = draw(vectors(n, k))
+        if bad:
+            members = members[:7] + [[n + 1] * k]
+        files["family.json"] = {"chain": n, "points": labels(k), "family": members}
+        argv = [command, "family.json", "--max-nodes", "-3" if fault == "flag" else "50"]
+    elif command == "metric":
+        k = draw(st.integers(1, 4))
+        distance = st.integers(0, 3) | st.sampled_from(["1/2", "3/2"])
+        if bad:
+            distance |= st.sampled_from(["1/0", -1, "x"])
+        rows = draw(st.lists(st.lists(distance, min_size=k, max_size=k), min_size=k, max_size=k))
+        rows = [[0 if i == j else d for j, d in enumerate(row)] for i, row in enumerate(rows)]
+        if not bad:
+            rows = [[max(d, rows[j][i], key=Fraction) for j, d in enumerate(row)] for i, row in enumerate(rows)]
+        obj = {"chain": draw(st.integers(1, 3)), "points": labels(k), "dist": rows}
+        if draw(st.booleans()):
+            obj["radii"] = draw(st.lists(distance.filter(lambda d: d != 0), max_size=3))
+        files["metric.json"] = obj
+        argv = ["metric", "metric.json", "--max-opens", cap]
+        argv += draw(st.sampled_from([[], ["--subbase-only"]]))
+    elif command == "continuity":
+        side = st.sampled_from(["space.json", "missing.json" if bad else "space.json"]) | space_objects()
+        domain, codomain = draw(side), draw(side)
+        points, size = (len((space if isinstance(s, str) else s)["points"]) for s in (domain, codomain))
+        images = st.integers(-1, size) if bad else st.integers(0, size - 1)
+        map_size = points + draw(st.integers(-1, 1)) if bad else points
+        images = draw(st.lists(images, min_size=map_size, max_size=map_size))
+        files["map.json"] = {"domain": domain, "codomain": codomain, "map": images}
+        argv = ["continuity", "map.json"]
+    else:
+        suite = draw(st.sampled_from(sorted(SUITES) + (["bogus"] if bad else [])))
+        argv = ["verify", suite, "--seed", str(draw(st.integers(-5, 10**6))), "--cases", cap]
+    target = next((a for a in reversed(argv) if a in files), "space.json")
+    if fault in ("drop", "add", "junk"):
+        obj = dict(files[target])
+        key = draw(st.sampled_from(sorted(obj)))
+        if fault == "drop":
+            del obj[key]
+        elif fault == "add":
+            obj["extra"] = draw(JUNK)
+        else:
+            obj[key] = draw(JUNK)
+        files[target] = obj
+    texts = {name: doc(obj) for name, obj in files.items()}
+    if fault == "cut":
+        texts[target] = texts[target][: draw(st.integers(0, len(texts[target]) - 1))]
+    return argv, texts
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_keeps_the_exit_code_contract_on_drawn_documents(command):
+    """Each subcommand and check kind, on drawn malformed and near-valid
+    documents (at most 4 points and 8 vectors), returns 0-3, lets no exception
+    escape and repeats its exact output on a rerun.
+
+    Outside this range a known defect remains: `mincover` on a family of more
+    than about 1000 members still raises RecursionError.
+    """
+
+    @settings(deadline=None)
+    @given(cli_calls(command))
+    @example((["gen", "space.json"], {"space.json": HUGE_CHAIN}))  # a 5000-digit literal
+    def contract_holds(call):
+        argv, files = call
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text)
+            argv = [str(Path(tmp, a)) if a in files else a for a in argv]
+            first = run_cli(argv)
+            assert first[0] in (0, 1, 2, 3)
+            assert run_cli(argv) == first
+
+    contract_holds()

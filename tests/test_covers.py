@@ -470,3 +470,15 @@ def test_witness_reports_nonprime_multiplicative_nodes():
     assert "decomposition" in str(err.value)
     # here a brute-force witness exists even though the descent cannot find it
     assert term_witness_exists(args, 0, ideal) == 2
+
+
+def test_term_machinery_handles_a_term_5000_deep():
+    # nested on the left, so the witness descent walks all 5000 levels
+    t = Term.var(0)
+    for depth in range(5000):
+        t = (Term.oplus if depth % 2 else Term.meet)(t, Term.var(1))
+    args = [fs(AB, CH2, 1, 0), fs(AB, CH2, 2, 0)]
+    assert t.length == 10001
+    assert t.arity == 2
+    assert eval_term(t, args) == fs(AB, CH2, 2, 0)
+    assert term_witness(t, args, 0, _b_zero_ideal()) == 0

@@ -1,10 +1,12 @@
 """The packed-lane kernel against the chain and fuzzy-set operations it replaces."""
 
 import itertools
+import json
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from mvtop import (
@@ -119,18 +121,67 @@ def random_topologies(seed, count):
         yield rng, generate_from_subbase(FuzzyFamily.of(carrier, chain, members), max_size=400)
 
 
+WITNESS = re.compile(r"not closed under (\w+): (\[[\d, ]*\]) with (\[[\d, ]*\]) gives (\[[\d, ]*\])")
+
+
+def assert_violation_matches_reference(family):
+    """Same verdict as the pair scan; a witness names two members whose result is missing."""
+    message = topology_violation(family)
+    reference = reference_violation(family)
+    assert (message is None) == (reference is None), (message, reference)
+    if message is None:
+        return True
+    parsed = WITNESS.fullmatch(message)
+    if parsed is None:  # zero or unit missing: there is no pair to name
+        assert message == reference
+        return False
+    name, *vectors = parsed.groups()
+    a, b, c = (FuzzySet(family.carrier, family.chain, tuple(json.loads(v))) for v in vectors)
+    assert a in family and b in family and c not in family
+    assert getattr(a, name)(b) == c
+    return False
+
+
+def altered(rng, topology, mode):
+    """The opens as generated, with 1-3 members dropped, or with 1-2 random members added."""
+    members = list(topology.opens.members)
+    if mode == "dropped":
+        for _ in range(rng.randint(1, min(3, len(members)))):
+            members.pop(rng.randrange(len(members)))
+    elif mode == "added":
+        carrier, chain = topology.carrier, topology.chain
+        for _ in range(rng.randint(1, 2)):
+            values = tuple(rng.randint(0, chain.n) for _ in range(carrier.size))
+            members.append(FuzzySet(carrier, chain, values))
+    return FuzzyFamily.of(topology.carrier, topology.chain, members)
+
+
+MODES = ("valid", "dropped", "added")
+
+
 def test_violation_on_broken_families_matches_reference_scan():
-    broken = 0
-    for rng, topology in random_topologies(11, 60):
-        members = topology.opens.members
-        assert topology_violation(topology.opens) is None
-        for drop in rng.sample(range(len(members)), min(3, len(members))):
-            kept = members[:drop] + members[drop + 1 :]
-            family = FuzzyFamily.of(topology.carrier, topology.chain, kept)
-            message = topology_violation(family)
-            assert message == reference_violation(family)
-            broken += message is not None
-    assert broken > 100
+    verdicts = {mode: set() for mode in MODES}
+    for rng, topology in random_topologies(11, 150):
+        for mode in MODES:
+            verdicts[mode].add(assert_violation_matches_reference(altered(rng, topology, mode)))
+    assert verdicts == {"valid": {True}, "dropped": {True, False}, "added": {True, False}}
+
+
+@given(st.data())
+def test_violation_matches_reference_scan_on_drawn_families(data):
+    k, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    carrier, chain = Carrier(tuple("abcd"[:k])), Chain(n)
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(0, n)] * k), max_size=3))
+    subbase = FuzzyFamily.of(carrier, chain, (FuzzySet(carrier, chain, v) for v in vectors))
+    try:
+        topology = generate_from_subbase(subbase, max_size=200)
+    except ResourceLimitError:
+        return
+    mode = data.draw(st.sampled_from(MODES))
+    rng = data.draw(st.randoms(use_true_random=False))
+    valid = assert_violation_matches_reference(altered(rng, topology, mode))
+    assert valid or mode != "valid"
+    event(f"{mode}: {'valid' if valid else 'invalid'}")
 
 
 def test_base_witness_matches_reference_scan():
