@@ -30,17 +30,12 @@ from .documents import (
     parse_map_document,
     parse_metric_document,
     parse_space_document,
+    read_document,
     space_document_to_obj,
 )
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .maps import continuity_counterexample
-from .oracles import (
-    DEFAULT_ORACLE_OPENS,
-    brute_force_compactness,
-    brute_force_strong_compactness,
-)
 from .product import product
-from .suites import SUITES, render_report, run_suite
 from .topology import (
     DEFAULT_MAX_OPENS,
     Topology,
@@ -66,17 +61,18 @@ CHECK_KINDS = (
 )
 
 
-def _read_input(path: str) -> str:
+def _load(path: str) -> object:
+    if path != "-":
+        return read_document(path, repr(path))
     try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+        text = sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from None
+        raise InputError(f"cannot read '-': {exc}") from None
+    return loads_document(text, "'-'")
 
 
 def _space_document(path: str) -> SpaceDocument:
-    return parse_space_document(loads_document(_read_input(path)))
+    return parse_space_document(_load(path))
 
 
 def _topology_from(doc: SpaceDocument, what: str) -> Topology:
@@ -121,7 +117,6 @@ def _cmd_check(args) -> int:
         raise InputError(f"--oracle applies to compact and strong-compact, not {kind}")
     if args.max_opens is not None and not args.oracle:
         raise InputError("--max-opens bounds the brute-force oracle and requires --oracle")
-    max_opens = args.max_opens or DEFAULT_ORACLE_OPENS
     doc = _space_document(args.input)
     report: dict = {"check": kind}
 
@@ -147,11 +142,14 @@ def _cmd_check(args) -> int:
         if kind in ("compact", "strong-compact"):
             strong = kind == "strong-compact"
             if args.oracle:
-                oracle = (
-                    brute_force_strong_compactness(topology, max_opens=max_opens)
+                from . import oracles
+
+                search = (
+                    oracles.brute_force_strong_compactness
                     if strong
-                    else brute_force_compactness(topology, max_opens=max_opens)
+                    else oracles.brute_force_compactness
                 )
+                oracle = search(topology, max_opens=args.max_opens or oracles.DEFAULT_ORACLE_OPENS)
                 report["verdict"] = oracle.compact
                 report["method"] = "brute-force"
                 report["covers_checked"] = oracle.covers_checked
@@ -210,7 +208,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_mincover(args) -> int:
-    doc = parse_family_document(loads_document(_read_input(args.input)))
+    doc = parse_family_document(_load(args.input))
     search = minimal_additive_cover_search(doc.family, max_nodes=args.max_nodes)
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
     if search.certificate is None:
@@ -228,7 +226,7 @@ def _cmd_mincover(args) -> int:
 
 
 def _cmd_subcover(args) -> int:
-    doc = parse_family_document(loads_document(_read_input(args.input)))
+    doc = parse_family_document(_load(args.input))
     search = minimal_subcover_search(doc.family, max_nodes=args.max_nodes)
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
     if search.subcover is None:
@@ -243,7 +241,7 @@ def _cmd_subcover(args) -> int:
 
 
 def _cmd_metric(args) -> int:
-    doc = parse_metric_document(loads_document(_read_input(args.input)))
+    doc = parse_metric_document(_load(args.input))
     if args.subbase_only:
         balls = metric_ball_family(doc.metric, doc.centers, doc.radii)
         out = SpaceDocument(doc.metric.chain, doc.metric.carrier, "subbase", balls, doc.name)
@@ -255,8 +253,7 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
-    base_dir = None if args.input == "-" else Path(args.input).parent
-    doc = parse_map_document(loads_document(_read_input(args.input)), base_dir=base_dir)
+    doc = parse_map_document(_load(args.input), base_dir=Path(args.input).parent)
     domain = _topology_from(doc.domain, "continuity domain")
     codomain = _topology_from(doc.codomain, "continuity codomain")
     witness = continuity_counterexample(doc.map, domain, codomain)
@@ -268,8 +265,13 @@ def _cmd_continuity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.seed, args.cases)
-    sys.stdout.write(render_report(report))
+    from . import suites  # loads generators and oracles; imported here to keep other commands lean
+
+    names = ", ".join(sorted(suites.SUITES))
+    if args.suite not in suites.SUITES:
+        raise InputError(f"unknown suite {args.suite!r}; choose from {names}")
+    report = suites.run_suite(args.suite, args.seed, args.cases)
+    sys.stdout.write(suites.render_report(report))
     return 0 if report.all_passed else 1
 
 
@@ -286,9 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("input", help="input document path, or - for stdin")
 
+    def add_max_opens(p, default=DEFAULT_MAX_OPENS):
+        p.add_argument("--max-opens", type=_positive_int, default=default, help="opens size cap")
+
+    def add_max_nodes(p):
+        p.add_argument(
+            "--max-nodes", type=_positive_int, default=DEFAULT_MAX_NODES, help="solver node cap"
+        )
+
     p = sub.add_parser("gen", help="generate a topology from a subbase document")
     add_input(p)
-    p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
+    add_max_opens(p, None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="decide a property of a space document")
@@ -299,38 +309,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-opens",
         type=_positive_int,
         default=None,
-        help=f"oracle opens cap, with --oracle (default {DEFAULT_ORACLE_OPENS})",
+        help="oracle opens cap, with --oracle (default: the oracle's own cap)",
     )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("product", help="build the product of space documents")
     p.add_argument("inputs", nargs="+", help="factor space documents")
     p.add_argument("--subbase-only", action="store_true", help="emit the canonical subbase")
-    p.add_argument(
-        "--max-opens", type=_positive_int, default=DEFAULT_MAX_OPENS, help="opens size cap"
-    )
+    add_max_opens(p)
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("mincover", help="least-total additive cover of a family document")
     add_input(p)
-    p.add_argument(
-        "--max-nodes", type=_positive_int, default=DEFAULT_MAX_NODES, help="solver node cap"
-    )
+    add_max_nodes(p)
     p.set_defaults(func=_cmd_mincover)
 
     p = sub.add_parser("subcover", help="smallest covering subfamily of a family document")
     add_input(p)
-    p.add_argument(
-        "--max-nodes", type=_positive_int, default=DEFAULT_MAX_NODES, help="solver node cap"
-    )
+    add_max_nodes(p)
     p.set_defaults(func=_cmd_subcover)
 
     p = sub.add_parser("metric", help="build the topology induced by a metric document")
     add_input(p)
     p.add_argument("--subbase-only", action="store_true", help="emit the ball family")
-    p.add_argument(
-        "--max-opens", type=_positive_int, default=DEFAULT_MAX_OPENS, help="opens size cap"
-    )
+    add_max_opens(p)
     p.set_defaults(func=_cmd_metric)
 
     p = sub.add_parser("continuity", help="check a map document for continuity")
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_continuity)
 
     p = sub.add_parser("verify", help="run a randomized verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", help="suite to run; an unknown name lists them")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_verify)

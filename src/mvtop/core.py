@@ -28,10 +28,6 @@ class Chain:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise InputError(f"chain resolution must be an integer >= 1, got {self.n!r}")
 
-    @property
-    def top(self) -> int:
-        return self.n
-
     def check(self, a: int) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a <= self.n:
             raise InputError(f"{a!r} is not an element of the chain 0..{self.n}")
@@ -255,6 +251,14 @@ class Lanes:
     def leq(self, a: int, b: int) -> bool:
         """True iff a <= b in every lane."""
         return ((b | self.guard) - a) & self.guard == self.guard
+
+    def join_below(self, members: Iterable[int], x: int) -> int:
+        """The join of the members below x; 0 when none is."""
+        acc = 0
+        for m in members:
+            if self.leq(m, x):
+                acc = self.join(acc, m)
+        return acc
 
 
 @dataclass(frozen=True)

@@ -342,7 +342,7 @@ def product_subbasic_subcover(
     n = space.chain.n
     gaps = [_first_uncovered(per_factor[j], f.carrier.size) for j, f in enumerate(factors)]
     if None not in gaps:
-        witness = "(" + ",".join(f.carrier.label(x) for f, x in zip(factors, gaps)) + ")"
+        witness = space.carrier.label(space.index_of(tuple(gaps)))
         raise PreconditionError(
             f"the listed sets do not cover the product: every listed open vanishes at {witness}"
         )
@@ -373,9 +373,10 @@ VAR = "var"
 _BINARY = (OPLUS, ODOT, MEET)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Term:
-    """An expression tree with binary oplus/odot/meet nodes and variable leaves."""
+    """An expression tree with binary oplus/odot/meet nodes and variable leaves;
+    equality, the hash and the repr go by the post-order, found without recursion."""
 
     op: str
     index: int | None = None
@@ -416,6 +417,20 @@ class Term:
     def arity(self) -> int:
         return 1 + max(node.index for node in _subterms(self) if node.op == VAR)
 
+    def _signature(self) -> tuple[tuple[str, int | None], ...]:
+        # every arity is fixed, so the post-order of (op, index) determines the tree
+        return tuple((node.op, node.index) for node in _subterms(self))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Term) and self._signature() == other._signature()
+
+    def __hash__(self) -> int:
+        return hash(self._signature())
+
+    def __repr__(self) -> str:
+        """Postfix notation, e.g. Term(x0 x1 oplus) for Term.oplus(Term.var(0), Term.var(1))."""
+        return f"Term({' '.join(f'x{i}' if op == VAR else op for op, i in self._signature())})"
+
 
 def _subterms(term: Term) -> list[Term]:
     """Every node of the term tree, children before parents, from a walk on an
@@ -431,7 +446,7 @@ def _subterms(term: Term) -> list[Term]:
 
 def _subterm_values(term: Term, args: Sequence[FuzzySet]) -> dict[int, FuzzySet]:
     """The value of every subterm with the pointwise chain operations, keyed by
-    node identity (hashing a term would recurse), from one post-order pass."""
+    node identity (hashing every node would cost O(n²)), from one post-order pass."""
     if term.arity > len(args):
         raise InputError(
             f"term uses {term.arity} variables but only {len(args)} arguments were given"

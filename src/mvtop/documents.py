@@ -1,5 +1,8 @@
 """JSON document formats for the command-line front end.
 
+Every JSON file, a CLI input or a space reference, is read by `read_document`,
+and all JSON is decoded by `loads_document`; each failure is one `InputError`
+naming its input.  Family documents are `SpaceDocument`s of kind "family".
 Documents are exact: integer chain values only, and rationals written as
 integers or "p/q" strings.  Serialization is canonical, so identical inputs
 produce byte-identical outputs and parse/serialize round-trips are the
@@ -38,9 +41,9 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) 
 
 
 def _parse_header(obj: dict, what: str) -> tuple[Chain, Carrier]:
-    chain = Chain(_require_int(obj["chain"], f"{what} chain"))
+    chain = Chain(obj["chain"])
     points = obj["points"]
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+    if not isinstance(points, list):  # Carrier would take a string's characters
         raise InputError(f"{what} points must be a list of strings")
     return chain, Carrier(tuple(points))
 
@@ -98,11 +101,11 @@ def render_rational(value: Fraction) -> int | str:
 
 @dataclass(frozen=True)
 class SpaceDocument:
-    """A space given by its chain, points, and exactly one of subbase/opens."""
+    """A chain, points and one family of value vectors, named by its kind."""
 
     chain: Chain
     carrier: Carrier
-    kind: str  # "subbase" or "opens"
+    kind: str  # "subbase", "opens" or "family"
     family: FuzzyFamily
     name: str | None = None
     caps: dict[str, int] = field(default_factory=dict)
@@ -135,33 +138,13 @@ def space_document_to_obj(doc: SpaceDocument) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class FamilyDocument:
-    """A bare family of fuzzy sets, the input of the cover solvers."""
-
-    chain: Chain
-    carrier: Carrier
-    family: FuzzyFamily
-    name: str | None = None
-
-
-def parse_family_document(obj: Any) -> FamilyDocument:
+def parse_family_document(obj: Any) -> SpaceDocument:
     if not isinstance(obj, dict):
         raise InputError("a family document must be a JSON object")
     _require_keys(obj, {"chain", "points", "family"}, {"name"}, "family document")
     chain, carrier = _parse_header(obj, "family document")
     family = _parse_vectors(obj["family"], carrier, chain, "family")
-    return FamilyDocument(chain, carrier, family, _parse_name(obj))
-
-
-def family_document_to_obj(doc: FamilyDocument) -> dict:
-    out: dict[str, Any] = {}
-    if doc.name is not None:
-        out["name"] = doc.name
-    out["chain"] = doc.chain.n
-    out["points"] = list(doc.carrier.points)
-    out["family"] = [list(m.values) for m in doc.family.members]
-    return out
+    return SpaceDocument(chain, carrier, "family", family, _parse_name(obj))
 
 
 @dataclass(frozen=True)
@@ -184,13 +167,7 @@ def parse_map_document(obj: Any, *, base_dir: Path | None = None) -> MapDocument
             path = Path(value)
             if not path.is_absolute() and base_dir is not None:
                 path = base_dir / path
-            try:
-                raw = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, UnicodeDecodeError) as exc:
-                raise InputError(f"cannot read {what} space reference {value!r}: {exc}")
-            except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, digit limit
-                raise InputError(f"{what} space reference {value!r} is not valid JSON: {exc}")
-            return parse_space_document(raw)
+            return parse_space_document(read_document(path, f"{what} space reference {value!r}"))
         return parse_space_document(value)
 
     domain = resolve(obj["domain"], "domain")
@@ -277,10 +254,20 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-def loads_document(text: str) -> Any:
-    """Parse JSON text; malformed JSON, an integer literal past the interpreter's
-    digit limit and nesting past its recursion limit are input errors."""
+def loads_document(text: str, what: str = "the document") -> Any:
+    """Decode JSON text; every failure, the digit limit too, is an input error."""
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:  # the only other ValueError of decoding: the digit limit
+        raise InputError(f"{what} has an integer literal with too many digits") from None
+
+
+def read_document(path: str | Path, what: str) -> Any:
+    """Read and decode one UTF-8 JSON file; every failure is an input error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
+    return loads_document(text, what)

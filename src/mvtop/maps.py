@@ -7,11 +7,15 @@ from .errors import InputError
 from .topology import Topology, closed_sets
 
 
-def _check_spaces(f: PointMap, domain: Topology, codomain: Topology) -> None:
+def _check_spaces(f: PointMap, domain: Topology, codomain: Topology | FuzzyFamily) -> None:
     if f.domain != domain.carrier or f.codomain != codomain.carrier:
         raise InputError("map endpoints do not match the given topologies")
     if domain.chain != codomain.chain:
         raise InputError("the topologies live on different chains")
+
+
+def _first_non_open_preimage(f: PointMap, domain: Topology, family: FuzzyFamily) -> FuzzySet | None:
+    return next((o for o in family if mv_preimage(f, o) not in domain.opens), None)
 
 
 def continuity_counterexample(
@@ -19,10 +23,7 @@ def continuity_counterexample(
 ) -> FuzzySet | None:
     """First codomain open, in canonical order, whose preimage is not open."""
     _check_spaces(f, domain, codomain)
-    for o in codomain.opens:
-        if mv_preimage(f, o) not in domain.opens:
-            return o
-    return None
+    return _first_non_open_preimage(f, domain, codomain.opens)
 
 
 def is_continuous(f: PointMap, domain: Topology, codomain: Topology) -> bool:
@@ -31,11 +32,8 @@ def is_continuous(f: PointMap, domain: Topology, codomain: Topology) -> bool:
 
 def is_continuous_via_base(f: PointMap, domain: Topology, base: FuzzyFamily) -> bool:
     """Continuity tested against a base of the codomain topology only."""
-    if f.domain != domain.carrier or f.codomain != base.carrier:
-        raise InputError("map endpoints do not match the domain topology and base")
-    if domain.chain != base.chain:
-        raise InputError("the domain topology and base live on different chains")
-    return all(mv_preimage(f, theta) in domain.opens for theta in base)
+    _check_spaces(f, domain, base)
+    return _first_non_open_preimage(f, domain, base) is None
 
 
 def is_open_map(f: PointMap, domain: Topology, codomain: Topology) -> bool:

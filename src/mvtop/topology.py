@@ -141,11 +141,7 @@ def topology_violation(family: FuzzyFamily) -> str | None:
         return "the unit set is missing"
     irreducible: list[int] = []
     for j in members:
-        below = 0
-        for i in irreducible:
-            if lanes.leq(i, j):
-                below = lanes.join(below, i)
-        if below == j:
+        if lanes.join_below(irreducible, j) == j:
             continue
         # j is join-irreducible: join it with every member, combine it with J
         irreducible.append(j)
@@ -185,11 +181,7 @@ def base_witness(candidate: FuzzyFamily, topology: Topology) -> FuzzySet | None:
     members = [lanes.pack(m.values) for m in candidate]
     for o in topology.opens:
         x = lanes.pack(o.values)
-        acc = 0
-        for m in members:
-            if lanes.leq(m, x):
-                acc = lanes.join(acc, m)
-        if acc != x:
+        if lanes.join_below(members, x) != x:
             return o
     return None
 

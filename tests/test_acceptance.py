@@ -33,7 +33,6 @@ from mvtop.covers import (
 )
 from mvtop.documents import (
     dumps_canonical,
-    family_document_to_obj,
     map_document_to_obj,
     metric_document_to_obj,
     parse_family_document,
@@ -378,7 +377,7 @@ def test_criterion_10_cli_determinism_and_roundtrip():
         corpus.append(
             (
                 parse_family_document,
-                family_document_to_obj,
+                space_document_to_obj,
                 {
                     "chain": n,
                     "points": ["a", "b"],

@@ -344,33 +344,46 @@ NOT_UTF8 = b"\xff\xfe{}"
 HUGE_CHAIN = '{"chain": ' + "9" * 5000 + ', "points": ["a"], "subbase": []}'
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "file",
-        "space reference",
-        "stdin",
-        "deep nesting",
-        "huge integer",
-        "huge integer reference",
-    ],
-)
+SPACE = doc({"chain": 1, "points": ["a"], "opens": [[0], [1]]})
+REF = "domain space reference"
+INTEGER = "has an integer literal with too many digits"
+NESTING = "is not valid JSON: maximum recursion depth"
+SYNTAX = "is not valid JSON: Expecting value"
+
+
+# (argv, stdin, start of the one stderr line after "error: "): a file, stdin
+# and a space reference go through one reader and fail the same way
+READ_FAILURES = {
+    "file": (["check", "topology", "bad.json"], None, "cannot read 'bad.json': 'utf-8' codec"),
+    "space reference": (["continuity", "bad.map.json"], None, f"cannot read {REF} 'bad.json': 'utf-8'"),
+    "stdin": (["check", "topology", "-"], NOT_UTF8, "cannot read '-': 'utf-8' codec"),
+    "deep nesting": (["subcover", "deep.json"], None, f"'deep.json' {NESTING}"),
+    "deep nesting stdin": (["subcover", "-"], b"[" * 100000, f"'-' {NESTING}"),
+    "deep nesting reference": (["continuity", "deep.map.json"], None, f"{REF} 'deep.json' {NESTING}"),
+    "huge integer": (["gen", "huge.json"], None, f"'huge.json' {INTEGER}"),
+    "huge integer stdin": (["gen", "-"], HUGE_CHAIN.encode(), f"'-' {INTEGER}"),
+    "huge integer reference": (["continuity", "huge.map.json"], None, f"{REF} 'huge.json' {INTEGER}"),
+    "missing file": (["gen", "missing.json"], None, "cannot read 'missing.json': [Errno 2]"),
+    "missing reference": (["continuity", "missing.map.json"], None, f"cannot read {REF} 'missing.json': [Errno 2]"),
+    "bad JSON": (["gen", "broken.json"], None, f"'broken.json' {SYNTAX}"),
+    "bad JSON stdin": (["gen", "-"], b'{"chain": ', f"'-' {SYNTAX}"),
+    "bad JSON reference": (["continuity", "broken.map.json"], None, f"{REF} 'broken.json' {SYNTAX}"),
+    # a reference named - is a file name: stdin holds a valid space and stays unread
+    "dash reference": (["continuity", "dash.map.json"], SPACE.encode(), f"cannot read {REF} '-': [Errno 2]"),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_FAILURES))
 def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
     (tmp_path / "bad.json").write_bytes(NOT_UTF8)
-    (tmp_path / "map.json").write_text(doc({"domain": "bad.json", "codomain": "bad.json", "map": [0]}))
     (tmp_path / "deep.json").write_text("[" * 100000)
     (tmp_path / "huge.json").write_text(HUGE_CHAIN)
-    (tmp_path / "hugemap.json").write_text(
-        doc({"domain": "huge.json", "codomain": "huge.json", "map": [0]})
-    )
-    args, stdin = {
-        "file": (["check", "topology", "bad.json"], None),
-        "space reference": (["continuity", "map.json"], None),
-        "stdin": (["check", "topology", "-"], NOT_UTF8),
-        "deep nesting": (["subcover", "deep.json"], None),
-        "huge integer": (["gen", "huge.json"], None),
-        "huge integer reference": (["continuity", "hugemap.json"], None),
-    }[case]
+    (tmp_path / "broken.json").write_text('{"chain": ')
+    for ref in ("bad.json", "deep.json", "huge.json", "missing.json", "broken.json", "-"):
+        map_doc = {"domain": ref, "codomain": ref, "map": [0]}
+        stem = "dash" if ref == "-" else ref.removesuffix(".json")
+        (tmp_path / f"{stem}.map.json").write_text(doc(map_doc))
+    args, stdin, message = READ_FAILURES[case]
     env = {
         **os.environ,
         "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
@@ -383,7 +396,8 @@ def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+    assert "set_int_max_str_digits" not in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -404,8 +418,23 @@ def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
             {"domain": INDISCRETE, "codomain": INDISCRETE, "map": [0, "x"]},
             "'x' is not a valid codomain index",
         ),
+        (
+            ["gen", "-"],
+            {"chain": "2", "points": ["a"], "subbase": []},
+            "chain resolution must be an integer >= 1, got '2'",
+        ),
+        (
+            ["subcover", "-"],
+            {"chain": 1, "points": ["a", 7], "family": []},
+            "carrier points must be strings",
+        ),
+        (
+            ["gen", "-"],
+            {"chain": 1, "points": "ab", "subbase": []},
+            "space document points must be a list of strings",
+        ),
     ],
-    ids=["fraction", "bool", "map index"],
+    ids=["fraction", "bool", "map index", "chain", "point", "points string"],
 )
 def test_bad_values_and_map_indices_name_the_constructor_check(argv, document, message):
     code, out, err = run_cli(argv, doc(document))
@@ -479,8 +508,26 @@ def test_verify_is_deterministic_and_passes():
 
 
 def test_verify_unknown_suite_exits_2():
-    code, _, _ = run_cli(["verify", "nonsense"])
+    code, out, err = run_cli(["verify", "nonsense"])
     assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown suite 'nonsense'; choose from ")
+    assert all(name in lines[0] for name in SUITES)
+
+
+def test_importing_the_cli_leaves_the_verification_stack_unloaded():
+    # only verify and check --oracle need the suites, generators and oracles
+    probe = (
+        "import sys, mvtop.cli; "
+        "print([m for m in ('mvtop.suites', 'mvtop.generators', 'mvtop.oracles') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

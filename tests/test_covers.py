@@ -472,13 +472,36 @@ def test_witness_reports_nonprime_multiplicative_nodes():
     assert term_witness_exists(args, 0, ideal) == 2
 
 
+def _left_nested_term(depth: int, last_leaf: int = 1) -> Term:
+    t = Term.var(0)
+    for d in range(depth):
+        t = (Term.oplus if d % 2 else Term.meet)(t, Term.var(last_leaf if d == depth - 1 else 1))
+    return t
+
+
 def test_term_machinery_handles_a_term_5000_deep():
     # nested on the left, so the witness descent walks all 5000 levels
-    t = Term.var(0)
-    for depth in range(5000):
-        t = (Term.oplus if depth % 2 else Term.meet)(t, Term.var(1))
+    t = _left_nested_term(5000)
     args = [fs(AB, CH2, 1, 0), fs(AB, CH2, 2, 0)]
     assert t.length == 10001
     assert t.arity == 2
     assert eval_term(t, args) == fs(AB, CH2, 2, 0)
     assert term_witness(t, args, 0, _b_zero_ideal()) == 0
+    # equality, hash and repr walk the tree without recursing too
+    twin = _left_nested_term(5000)
+    assert twin is not t and twin == t and hash(twin) == hash(t)
+    assert len({t, twin}) == 1
+    assert _left_nested_term(5000, last_leaf=0) != t
+    text = repr(t)
+    assert text.startswith("Term(x0 x1 meet x1 oplus x1 meet ") and text.endswith(" x1 oplus)")
+    assert text.count("x") == 5001
+
+
+def test_term_equality_is_structural():
+    x, y = Term.var(0), Term.var(1)
+    assert Term.oplus(x, y) == Term.oplus(Term.var(0), Term.var(1))
+    assert Term.oplus(x, y) != Term.oplus(y, x)
+    assert Term.oplus(x, y) != Term.odot(x, y)
+    # same (op, index) multiset, different shape
+    assert Term.meet(Term.meet(x, x), x) != Term.meet(x, Term.meet(x, x))
+    assert repr(Term.odot(x, Term.meet(y, x))) == "Term(x0 x1 x0 meet odot)"

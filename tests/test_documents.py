@@ -13,7 +13,6 @@ from mvtop.documents import (
     parse_metric_document,
     parse_rational,
     parse_space_document,
-    family_document_to_obj,
     map_document_to_obj,
     metric_document_to_obj,
     render_rational,
@@ -59,7 +58,7 @@ def test_space_document_rejects_unknown_fields_and_bad_values():
 def test_family_document_roundtrip():
     obj = {"chain": 2, "points": ["a", "b"], "family": [[1, 1], [2, 0]]}
     doc = parse_family_document(obj)
-    assert parse_family_document(family_document_to_obj(doc)) == doc
+    assert parse_family_document(space_document_to_obj(doc)) == doc
 
 
 def test_map_document_inline_roundtrip():
