@@ -254,7 +254,7 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-def loads_document(text: str, what: str = "the document") -> Any:
+def loads_document(text: str, what: str) -> Any:
     """Decode JSON text; every failure, the digit limit too, is an input error."""
     try:
         return json.loads(text)
@@ -268,6 +268,6 @@ def read_document(path: str | Path, what: str) -> Any:
     """Read and decode one UTF-8 JSON file; every failure is an input error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: non-UTF-8 bytes, a NUL in the path
         raise InputError(f"cannot read {what}: {exc}") from None
     return loads_document(text, what)

@@ -368,6 +368,7 @@ READ_FAILURES = {
     "bad JSON": (["gen", "broken.json"], None, f"'broken.json' {SYNTAX}"),
     "bad JSON stdin": (["gen", "-"], b'{"chain": ', f"'-' {SYNTAX}"),
     "bad JSON reference": (["continuity", "broken.map.json"], None, f"{REF} 'broken.json' {SYNTAX}"),
+    "NUL reference": (["continuity", "nul.map.json"], None, f"cannot read {REF} 'a\\x00b': embedded null byte"),
     # a reference named - is a file name: stdin holds a valid space and stays unread
     "dash reference": (["continuity", "dash.map.json"], SPACE.encode(), f"cannot read {REF} '-': [Errno 2]"),
 }
@@ -379,9 +380,9 @@ def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
     (tmp_path / "deep.json").write_text("[" * 100000)
     (tmp_path / "huge.json").write_text(HUGE_CHAIN)
     (tmp_path / "broken.json").write_text('{"chain": ')
-    for ref in ("bad.json", "deep.json", "huge.json", "missing.json", "broken.json", "-"):
+    for ref in ("bad.json", "deep.json", "huge.json", "missing.json", "broken.json", "-", "a\0b"):
         map_doc = {"domain": ref, "codomain": ref, "map": [0]}
-        stem = "dash" if ref == "-" else ref.removesuffix(".json")
+        stem = {"-": "dash", "a\0b": "nul"}.get(ref, ref.removesuffix(".json"))
         (tmp_path / f"{stem}.map.json").write_text(doc(map_doc))
     args, stdin, message = READ_FAILURES[case]
     env = {

@@ -121,9 +121,9 @@ def test_canonical_serialization_is_stable():
     text = dumps_canonical(space_document_to_obj(doc))
     assert text == dumps_canonical(space_document_to_obj(doc))
     assert text.endswith("\n")
-    assert loads_document(text) == space_document_to_obj(doc)
+    assert loads_document(text, "the space") == space_document_to_obj(doc)
 
 
 def test_malformed_json_is_an_input_error():
     with pytest.raises(InputError):
-        loads_document("{not json")
+        loads_document("{not json", "the space")
