@@ -22,8 +22,6 @@ from .covers import (
     is_compact,
     is_cover,
     is_strongly_compact,
-    minimal_additive_cover,
-    minimal_subcover,
     product_subbasic_subcover,
     term_witness,
 )

@@ -1,12 +1,15 @@
 """Command-line front end: JSON documents in, verdicts and documents out.
 
-Exit codes: 0 verdict true / all cases pass, 1 verdict false / failure found,
-2 usage or input error, 3 resource cap exceeded.  No result exceeds its cap:
-`gen`, `product` and `metric` exit 3 instead of printing more opens than
-`--max-opens` or the document cap allows.  `check` takes `--oracle` only for
-compact and strong-compact, and `--max-opens` only with `--oracle`; it refuses
-a flag it would ignore (exit 2).  Output is canonical, so a rerun on identical
-input produces byte-identical bytes.
+Each subcommand returns its report; `main` alone writes it and picks the exit
+code: 1 when its verdict or feasibility is false or a suite case failed, else
+0; 2 on a usage or input error and 3 on an exceeded cap, reported on stderr
+with nothing on stdout.  No result exceeds its cap: `gen`, `product` and
+`metric` exit 3 rather than print more opens than `--max-opens`, else the
+document cap of `gen`, allows.  A flag that would be ignored is refused (exit
+2): `--oracle` on `check` kinds other than compact and strong-compact, `check
+--max-opens` without `--oracle`, and `--max-opens` with `--subbase-only`.
+Output is canonical, so a rerun on identical input produces byte-identical
+bytes.
 """
 
 from __future__ import annotations
@@ -50,16 +53,6 @@ from .topology import (
     topology_violation,
 )
 
-CHECK_KINDS = (
-    "topology",
-    "compact",
-    "strong-compact",
-    "hausdorff",
-    "zerodim",
-    "stone",
-    "large-subbase",
-)
-
 
 def _load(path: str) -> object:
     if path != "-":
@@ -75,9 +68,13 @@ def _space_document(path: str) -> SpaceDocument:
     return parse_space_document(_load(path))
 
 
-def _topology_from(doc: SpaceDocument, what: str) -> Topology:
+def _require_opens(doc: SpaceDocument, what: str) -> None:
     if doc.kind != "opens":
         raise InputError(f"{what} requires a document with explicit opens")
+
+
+def _topology_from(doc: SpaceDocument, what: str) -> Topology:
+    _require_opens(doc, what)
     violation = topology_violation(doc.family)
     if violation is not None:
         raise InputError(f"{what} requires a valid topology: {violation}")
@@ -95,184 +92,189 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(dumps_canonical(obj))
+def _max_opens(args, caps: dict[str, int]) -> int:
+    """The closure cap: the --max-opens flag, else the document cap, else the default."""
+    return args.max_opens or caps.get("max_opens") or DEFAULT_MAX_OPENS
 
 
-# -- subcommands -------------------------------------------------------------------
+def _subbase_only(args) -> bool:
+    """Whether to stop at the subbase; a cap on a closure that is not built is refused."""
+    if args.subbase_only and args.max_opens is not None:
+        raise InputError("--max-opens bounds the closure, which --subbase-only does not build")
+    return args.subbase_only
 
 
-def _cmd_gen(args) -> int:
+def _verdict(witness, render) -> dict:
+    """The report of a check that finds a witness of failure or none."""
+    if witness is None:
+        return {"verdict": True}
+    return {"verdict": False, "witness": render(witness)}
+
+
+def _space_report(space, kind: str, family, name: str | None, caps: dict[str, int]) -> dict:
+    """The family as a space document of the kind, on the chain and carrier of the space."""
+    doc = SpaceDocument(space.chain, space.carrier, kind, family, name, caps)
+    return space_document_to_obj(doc)
+
+
+# -- check kinds: each returns its report fields -----------------------------------
+
+
+def _check_topology(doc: SpaceDocument, args) -> dict:
+    _require_opens(doc, "check topology")
+    return _verdict(topology_violation(doc.family), str)
+
+
+def _check_large_subbase(doc: SpaceDocument, args) -> dict:
+    def render(witness) -> dict:
+        member, k, multiple = witness
+        return {"member": list(member.values), "multiplicity": k, "missing": list(multiple.values)}
+
+    return _verdict(large_subbase_witness(doc.family), render)
+
+
+def _on_topology(check):
+    """A check of a valid topology as a check of a document with explicit opens."""
+
+    def on_document(doc: SpaceDocument, args) -> dict:
+        return check(_topology_from(doc, f"check {args.kind}"), args)
+
+    return on_document
+
+
+def _check_compact(topology: Topology, args) -> dict:
+    strong = args.kind == "strong-compact"
+    if not args.oracle:
+        verdict = is_strongly_compact(topology) if strong else is_compact(topology)
+        return {"verdict": verdict, "method": "finite-model-criterion"}
+    from . import oracles
+
+    search = oracles.brute_force_strong_compactness if strong else oracles.brute_force_compactness
+    oracle = search(topology, max_opens=args.max_opens or oracles.DEFAULT_ORACLE_OPENS)
+    report = {"verdict": oracle.compact, "method": "brute-force"}
+    report["covers_checked"] = oracle.covers_checked
+    if oracle.counterexample is not None:
+        report["witness"] = [list(o.values) for o in oracle.counterexample]
+    return report
+
+
+def _check_hausdorff(topology: Topology, args) -> dict:
+    def labels(pair) -> list[str]:
+        return [topology.carrier.label(x) for x in pair]
+
+    separation = check_hausdorff(topology)
+    if not separation.hausdorff:
+        return _verdict(separation.failing_pair, lambda pair: {"pair": labels(pair)})
+    witnesses = [
+        {"pair": labels(pair), "first": list(ox.values), "second": list(oy.values)}
+        for pair, (ox, oy) in separation.witnesses
+    ]
+    return {"verdict": True, "witnesses": witnesses}
+
+
+def _check_zerodim(topology: Topology, args) -> dict:
+    return _verdict(base_witness(clopens(topology), topology), lambda w: list(w.values))
+
+
+def _check_stone(topology: Topology, args) -> dict:
+    compact = is_compact(topology)
+    hausdorff = check_hausdorff(topology).hausdorff
+    zerodim = is_zero_dimensional(topology)
+    verdict = compact and hausdorff and zerodim
+    return {"verdict": verdict, "compact": compact, "hausdorff": hausdorff, "zerodim": zerodim}
+
+
+CHECKS = {
+    "topology": _check_topology,
+    "compact": _on_topology(_check_compact),
+    "strong-compact": _on_topology(_check_compact),
+    "hausdorff": _on_topology(_check_hausdorff),
+    "zerodim": _on_topology(_check_zerodim),
+    "stone": _on_topology(_check_stone),
+    "large-subbase": _check_large_subbase,
+}
+CHECK_KINDS = tuple(CHECKS)
+
+
+# -- subcommands: each returns its report ------------------------------------------
+
+
+def _cmd_gen(args) -> dict:
     doc = _space_document(args.input)
-    max_opens = args.max_opens or doc.caps.get("max_opens") or DEFAULT_MAX_OPENS
-    topology = generate_from_subbase(doc.family, max_size=max_opens)
-    out = SpaceDocument(doc.chain, doc.carrier, "opens", topology.opens, doc.name, doc.caps)
-    _emit(space_document_to_obj(out))
-    return 0
+    topology = generate_from_subbase(doc.family, max_size=_max_opens(args, doc.caps))
+    return _space_report(doc, "opens", topology.opens, doc.name, doc.caps)
 
 
-def _cmd_check(args) -> int:
-    kind = args.kind
-    if args.oracle and kind not in ("compact", "strong-compact"):
-        raise InputError(f"--oracle applies to compact and strong-compact, not {kind}")
+def _cmd_check(args) -> dict:
+    if args.oracle and args.kind not in ("compact", "strong-compact"):
+        raise InputError(f"--oracle applies to compact and strong-compact, not {args.kind}")
     if args.max_opens is not None and not args.oracle:
         raise InputError("--max-opens bounds the brute-force oracle and requires --oracle")
     doc = _space_document(args.input)
-    report: dict = {"check": kind}
-
-    if kind == "topology":
-        if doc.kind != "opens":
-            raise InputError("check topology requires a document with explicit opens")
-        violation = topology_violation(doc.family)
-        report["verdict"] = violation is None
-        if violation is not None:
-            report["witness"] = violation
-    elif kind == "large-subbase":
-        witness = large_subbase_witness(doc.family)
-        report["verdict"] = witness is None
-        if witness is not None:
-            member, k, multiple = witness
-            report["witness"] = {
-                "member": list(member.values),
-                "multiplicity": k,
-                "missing": list(multiple.values),
-            }
-    else:
-        topology = _topology_from(doc, f"check {kind}")
-        if kind in ("compact", "strong-compact"):
-            strong = kind == "strong-compact"
-            if args.oracle:
-                from . import oracles
-
-                search = (
-                    oracles.brute_force_strong_compactness
-                    if strong
-                    else oracles.brute_force_compactness
-                )
-                oracle = search(topology, max_opens=args.max_opens or oracles.DEFAULT_ORACLE_OPENS)
-                report["verdict"] = oracle.compact
-                report["method"] = "brute-force"
-                report["covers_checked"] = oracle.covers_checked
-                if oracle.counterexample is not None:
-                    report["witness"] = [list(o.values) for o in oracle.counterexample]
-            else:
-                report["verdict"] = (
-                    is_strongly_compact(topology) if strong else is_compact(topology)
-                )
-                report["method"] = "finite-model-criterion"
-        elif kind == "hausdorff":
-            separation = check_hausdorff(topology)
-            report["verdict"] = separation.hausdorff
-            if separation.hausdorff:
-                report["witnesses"] = [
-                    {
-                        "pair": [topology.carrier.label(x), topology.carrier.label(y)],
-                        "first": list(ox.values),
-                        "second": list(oy.values),
-                    }
-                    for (x, y), (ox, oy) in separation.witnesses
-                ]
-            else:
-                x, y = separation.failing_pair
-                report["witness"] = {
-                    "pair": [topology.carrier.label(x), topology.carrier.label(y)]
-                }
-        elif kind == "zerodim":
-            witness = base_witness(clopens(topology), topology)
-            report["verdict"] = witness is None
-            if witness is not None:
-                report["witness"] = list(witness.values)
-        elif kind == "stone":
-            compact = is_compact(topology)
-            hausdorff = check_hausdorff(topology).hausdorff
-            zerodim = is_zero_dimensional(topology)
-            report["verdict"] = compact and hausdorff and zerodim
-            report["compact"] = compact
-            report["hausdorff"] = hausdorff
-            report["zerodim"] = zerodim
-
-    _emit(report)
-    return 0 if report["verdict"] else 1
+    return {"check": args.kind, **CHECKS[args.kind](doc, args)}
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> dict:
+    subbase_only = _subbase_only(args)
     docs = [_space_document(path) for path in args.inputs]
     factors = [_topology_from(doc, "product") for doc in docs]
-    space = product(factors, max_opens=args.max_opens)
-    if args.subbase_only:
-        out = SpaceDocument(space.chain, space.carrier, "subbase", space.subbase)
-    else:
-        out = SpaceDocument(space.chain, space.carrier, "opens", space.topology().opens)
-    _emit(space_document_to_obj(out))
-    return 0
+    space = product(factors, max_opens=_max_opens(args, {}))
+    if subbase_only:
+        return _space_report(space, "subbase", space.subbase, None, {})
+    return _space_report(space, "opens", space.topology().opens, None, {})
 
 
-def _cmd_mincover(args) -> int:
+def _cmd_mincover(args) -> dict:
     doc = parse_family_document(_load(args.input))
-    search = minimal_additive_cover_search(doc.family, max_nodes=args.max_nodes)
+    certificate = minimal_additive_cover_search(doc.family, max_nodes=args.max_nodes).certificate
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
-    if search.certificate is None:
-        report["feasible"] = False
-        _emit(report)
-        return 1
-    report["feasible"] = True
-    report["entries"] = [
-        {"vector": list(member.values), "multiplicity": mult}
-        for member, mult in search.certificate.entries
-    ]
-    report["total"] = search.certificate.total_multiplicity
-    _emit(report)
-    return 0
+    report["feasible"] = certificate is not None
+    if certificate is not None:
+        report["entries"] = [
+            {"vector": list(member.values), "multiplicity": mult}
+            for member, mult in certificate.entries
+        ]
+        report["total"] = certificate.total_multiplicity
+    return report
 
 
-def _cmd_subcover(args) -> int:
+def _cmd_subcover(args) -> dict:
     doc = parse_family_document(_load(args.input))
-    search = minimal_subcover_search(doc.family, max_nodes=args.max_nodes)
+    subcover = minimal_subcover_search(doc.family, max_nodes=args.max_nodes).subcover
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
-    if search.subcover is None:
-        report["feasible"] = False
-        _emit(report)
-        return 1
-    report["feasible"] = True
-    report["family"] = [list(m.values) for m in search.subcover.members]
-    report["size"] = len(search.subcover)
-    _emit(report)
-    return 0
+    report["feasible"] = subcover is not None
+    if subcover is not None:
+        report["family"] = [list(m.values) for m in subcover.members]
+        report["size"] = len(subcover)
+    return report
 
 
-def _cmd_metric(args) -> int:
+def _cmd_metric(args) -> dict:
+    subbase_only = _subbase_only(args)
     doc = parse_metric_document(_load(args.input))
-    if args.subbase_only:
-        balls = metric_ball_family(doc.metric, doc.centers, doc.radii)
-        out = SpaceDocument(doc.metric.chain, doc.metric.carrier, "subbase", balls, doc.name)
-    else:
-        topology = metric_induced(doc.metric, doc.centers, doc.radii, max_size=args.max_opens)
-        out = SpaceDocument(doc.metric.chain, doc.metric.carrier, "opens", topology.opens, doc.name)
-    _emit(space_document_to_obj(out))
-    return 0
+    metric = doc.metric
+    if subbase_only:
+        balls = metric_ball_family(metric, doc.centers, doc.radii)
+        return _space_report(metric, "subbase", balls, doc.name, {})
+    topology = metric_induced(metric, doc.centers, doc.radii, max_size=_max_opens(args, {}))
+    return _space_report(metric, "opens", topology.opens, doc.name, {})
 
 
-def _cmd_continuity(args) -> int:
+def _cmd_continuity(args) -> dict:
     doc = parse_map_document(_load(args.input), base_dir=Path(args.input).parent)
     domain = _topology_from(doc.domain, "continuity domain")
     codomain = _topology_from(doc.codomain, "continuity codomain")
     witness = continuity_counterexample(doc.map, domain, codomain)
-    report: dict = {"check": "continuity", "verdict": witness is None}
-    if witness is not None:
-        report["witness"] = list(witness.values)
-    _emit(report)
-    return 0 if witness is None else 1
+    return {"check": "continuity", **_verdict(witness, lambda w: list(w.values))}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from . import suites  # loads generators and oracles; imported here to keep other commands lean
 
     names = ", ".join(sorted(suites.SUITES))
     if args.suite not in suites.SUITES:
         raise InputError(f"unknown suite {args.suite!r}; choose from {names}")
-    report = suites.run_suite(args.suite, args.seed, args.cases)
-    sys.stdout.write(suites.render_report(report))
-    return 0 if report.all_passed else 1
+    return suites.run_suite(args.suite, args.seed, args.cases)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -288,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("input", help="input document path, or - for stdin")
 
-    def add_max_opens(p, default=DEFAULT_MAX_OPENS):
-        p.add_argument("--max-opens", type=_positive_int, default=default, help="opens size cap")
+    def add_max_opens(p):
+        p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
 
     def add_max_nodes(p):
         p.add_argument(
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a topology from a subbase document")
     add_input(p)
-    add_max_opens(p, None)
+    add_max_opens(p)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="decide a property of a space document")
@@ -355,13 +357,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        report = args.func(args)
     except (InputError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if isinstance(report, dict):
+        sys.stdout.write(dumps_canonical(report))
+        return 0 if report.get("verdict", True) and report.get("feasible", True) else 1
+    from . import suites  # only verify, which has loaded it, returns a suite report
+
+    sys.stdout.write(suites.render_report(report))
+    return 0 if report.all_passed else 1
 
 
 def run() -> None:

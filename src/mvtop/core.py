@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import InputError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Chain:
     """The finite value chain with elements 0..n (element k stands for k/n)."""
 

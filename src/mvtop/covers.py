@@ -222,12 +222,6 @@ def minimal_additive_cover_search(
     return AdditiveCoverSearch(certificate, nodes)
 
 
-def minimal_additive_cover(
-    family: FuzzyFamily, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> CoverCertificate | None:
-    return minimal_additive_cover_search(family, max_nodes=max_nodes).certificate
-
-
 @dataclass(frozen=True)
 class SubcoverSearch:
     subcover: FuzzyFamily | None
@@ -299,12 +293,6 @@ def minimal_subcover_search(
     )
     assert is_cover(subfamily)
     return SubcoverSearch(subfamily, nodes)
-
-
-def minimal_subcover(
-    family: FuzzyFamily, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> FuzzyFamily | None:
-    return minimal_subcover_search(family, max_nodes=max_nodes).subcover
 
 
 # -- subbasic covers of product spaces ---------------------------------------------

@@ -258,8 +258,10 @@ def loads_document(text: str, what: str) -> Any:
     """Decode JSON text; every failure, the digit limit too, is an input error."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise InputError(f"{what} is nested too deeply to parse") from None
     except ValueError:  # the only other ValueError of decoding: the digit limit
         raise InputError(f"{what} has an integer literal with too many digits") from None
 

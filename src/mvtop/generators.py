@@ -30,6 +30,9 @@ _LABELS = "abcdefgh"
 # oracle cap, and the tychonoff suite runs the oracle with it
 PAIR_PRODUCT_OPENS = 16
 
+# random topologies have at most this many opens unless a caller asks for fewer
+SAMPLE_OPENS = 64
+
 
 def case_rng(seed: int, index: int) -> random.Random:
     return random.Random(f"{seed}:{index}")
@@ -88,7 +91,7 @@ def random_topology(
     chain: Chain,
     *,
     max_subbase: int = 3,
-    max_opens: int = 64,
+    max_opens: int = SAMPLE_OPENS,
 ) -> Topology:
     """A topology generated from a small random subbase, resampled to respect
     the opens cap; falls back to the indiscrete topology.
@@ -115,13 +118,13 @@ def random_topology_where(
     carrier: Carrier,
     chain: Chain,
     predicate: Callable[[Topology], bool],
-    fallback: Callable[[Carrier, Chain], Topology],
     *,
     crisp_bias: float = 0.0,
     singleton_bias: float = 0.0,
 ) -> Topology:
-    """Resample random topologies of at most 64 opens from subbases of at most
-    3 random members until the predicate holds.
+    """Resample random topologies of at most SAMPLE_OPENS opens from subbases
+    of at most 3 random members until the predicate holds; falls back to the
+    crisp discrete topology, which is Hausdorff, zero-dimensional and Stone.
 
     crisp_bias makes individual subbase members crisp with that probability;
     singleton_bias seeds the subbase with full-value one-point sets, which
@@ -139,10 +142,10 @@ def random_topology_where(
                 members.append(random_crisp_set(rng, carrier, chain))
             else:
                 members.append(random_fuzzy_set(rng, carrier, chain))
-        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), 64)
+        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), SAMPLE_OPENS)
         if topology is not None and predicate(topology):
             return topology
-    return fallback(carrier, chain)
+    return crisp_discrete(carrier, chain)
 
 
 def random_hausdorff_topology(rng: random.Random, carrier: Carrier, chain: Chain) -> Topology:
@@ -151,7 +154,6 @@ def random_hausdorff_topology(rng: random.Random, carrier: Carrier, chain: Chain
         carrier,
         chain,
         is_hausdorff,
-        crisp_discrete,
         singleton_bias=0.9,
         crisp_bias=0.3,
     )
@@ -165,7 +167,6 @@ def random_zero_dimensional_topology(
         carrier,
         chain,
         is_zero_dimensional,
-        crisp_discrete,
         crisp_bias=0.7,
     )
 
@@ -177,7 +178,6 @@ def random_stone_topology(rng: random.Random, carrier: Carrier, chain: Chain) ->
         carrier,
         chain,
         lambda t: is_hausdorff(t) and is_zero_dimensional(t),
-        crisp_discrete,
         singleton_bias=0.9,
         crisp_bias=0.6,
     )

@@ -192,12 +192,10 @@ def is_base(candidate: FuzzyFamily, topology: Topology) -> bool:
     return base_witness(candidate, topology) is None
 
 
-def is_subbase(
-    candidate: FuzzyFamily, topology: Topology, *, max_size: int = DEFAULT_MAX_OPENS
-) -> bool:
+def is_subbase(candidate: FuzzyFamily, topology: Topology) -> bool:
     if any(m not in topology.opens for m in candidate):
         return False
-    return generate_from_subbase(candidate, max_size=max_size).opens == topology.opens
+    return generate_from_subbase(candidate).opens == topology.opens
 
 
 def large_subbase_witness(family: FuzzyFamily) -> tuple[FuzzySet, int, FuzzySet] | None:

@@ -347,7 +347,7 @@ HUGE_CHAIN = '{"chain": ' + "9" * 5000 + ', "points": ["a"], "subbase": []}'
 SPACE = doc({"chain": 1, "points": ["a"], "opens": [[0], [1]]})
 REF = "domain space reference"
 INTEGER = "has an integer literal with too many digits"
-NESTING = "is not valid JSON: maximum recursion depth"
+NESTING = "is nested too deeply to parse"
 SYNTAX = "is not valid JSON: Expecting value"
 
 
@@ -358,6 +358,7 @@ READ_FAILURES = {
     "space reference": (["continuity", "bad.map.json"], None, f"cannot read {REF} 'bad.json': 'utf-8'"),
     "stdin": (["check", "topology", "-"], NOT_UTF8, "cannot read '-': 'utf-8' codec"),
     "deep nesting": (["subcover", "deep.json"], None, f"'deep.json' {NESTING}"),
+    "deep well-formed nesting": (["gen", "nested.json"], None, f"'nested.json' {NESTING}"),
     "deep nesting stdin": (["subcover", "-"], b"[" * 100000, f"'-' {NESTING}"),
     "deep nesting reference": (["continuity", "deep.map.json"], None, f"{REF} 'deep.json' {NESTING}"),
     "huge integer": (["gen", "huge.json"], None, f"'huge.json' {INTEGER}"),
@@ -378,6 +379,7 @@ READ_FAILURES = {
 def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
     (tmp_path / "bad.json").write_bytes(NOT_UTF8)
     (tmp_path / "deep.json").write_text("[" * 100000)
+    (tmp_path / "nested.json").write_text("[" * 100000 + "]" * 100000)  # well-formed
     (tmp_path / "huge.json").write_text(HUGE_CHAIN)
     (tmp_path / "broken.json").write_text('{"chain": ')
     for ref in ("bad.json", "deep.json", "huge.json", "missing.json", "broken.json", "-", "a\0b"):
@@ -466,6 +468,14 @@ def test_metric_subbase_only_lists_balls():
     assert [2, 2] in report["subbase"]
 
 
+@pytest.mark.parametrize("command, document", [("product", DISCRETE), ("metric", METRIC)])
+def test_subbase_only_refuses_max_opens(command, document):
+    # --subbase-only builds no closure, so a closure cap would be ignored
+    code, out, err = run_cli([command, "--subbase-only", "--max-opens", "5", "-"], doc(document))
+    assert (code, out) == (2, "")
+    assert err == "error: --max-opens bounds the closure, which --subbase-only does not build\n"
+
+
 def test_metric_rejects_invalid_matrix():
     bad = {"chain": 2, "points": ["a", "b"], "dist": [[0, 1], [2, 0]]}
     code, _, err = run_cli(["metric", "-"], doc(bad))
@@ -529,6 +539,26 @@ def test_importing_the_cli_leaves_the_verification_stack_unloaded():
     )
     assert proc.returncode == 0
     assert proc.stdout == "[]\n"
+
+
+def test_the_program_needs_only_the_standard_library():
+    # -S skips site-packages and its .pth hooks, as on a bare interpreter
+    probe = (
+        "import sys, mvtop, mvtop.cli, mvtop.suites; "
+        "loaded = {m.partition('.')[0] for m in sys.modules if m != '__main__'}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'mvtop'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "mvtop.cli", "verify", "algebra", "--cases", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("result: PASS\n")
 
 
 @pytest.mark.parametrize(
@@ -620,6 +650,10 @@ def cli_calls(draw, command):
         space[kind] = space[kind][:7] + [draw(st.lists(st.integers(-1, 4), max_size=5))]
     files = {"space.json": space}
     cap = draw(st.sampled_from(["0", "x", "-3"] if fault == "flag" else ["1", "2", "8", "64"]))
+    # product and metric: a capped closure, the subbase alone, the defaults, or a refused pair
+    closure_flags = st.sampled_from(
+        [["--max-opens", cap], ["--subbase-only"], [], ["--subbase-only", "--max-opens", cap]]
+    )
     if command == "gen":
         argv = ["gen", "space.json", "--max-opens", cap]
     elif command.startswith("check"):
@@ -629,8 +663,8 @@ def cli_calls(draw, command):
             argv += draw(st.sampled_from([[], ["--oracle"], ["--oracle", "--max-opens", "4"]]))
     elif command == "product":
         files["other.json"] = draw(space_objects())
-        argv = ["product", "space.json", "other.json", "--max-opens", cap]
-        argv += draw(st.sampled_from([[], ["--subbase-only"]]))
+        argv = ["product", "space.json", "other.json"]
+        argv += draw(closure_flags)
     elif command in ("mincover", "subcover"):
         n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
         members = draw(vectors(n, k))
@@ -651,8 +685,8 @@ def cli_calls(draw, command):
         if draw(st.booleans()):
             obj["radii"] = draw(st.lists(distance.filter(lambda d: d != 0), max_size=3))
         files["metric.json"] = obj
-        argv = ["metric", "metric.json", "--max-opens", cap]
-        argv += draw(st.sampled_from([[], ["--subbase-only"]]))
+        argv = ["metric", "metric.json"]
+        argv += draw(closure_flags)
     elif command == "continuity":
         side = st.sampled_from(["space.json", "missing.json" if bad else "space.json"]) | space_objects()
         domain, codomain = draw(side), draw(side)

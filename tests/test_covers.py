@@ -25,8 +25,6 @@ from mvtop import (
     is_compact,
     is_cover,
     is_strongly_compact,
-    minimal_additive_cover,
-    minimal_subcover,
     mv_preimage,
     product,
     product_subbasic_subcover,
@@ -173,34 +171,34 @@ def test_oracle_rejects_oversized_spaces():
 
 
 def test_minimal_additive_cover_prefers_double_half():
-    best = minimal_additive_cover(family(AB, CH2, (1, 1), (2, 0)))
+    best = minimal_additive_cover_search(family(AB, CH2, (1, 1), (2, 0))).certificate
     assert entries(best) == [((1, 1), 2)]
     assert best.total_multiplicity == 2
 
 
 def test_minimal_additive_cover_unit_shortcut():
-    best = minimal_additive_cover(family(AB, CH2, (2, 2), (1, 0)))
+    best = minimal_additive_cover_search(family(AB, CH2, (2, 2), (1, 0))).certificate
     assert entries(best) == [((2, 2), 1)]
 
 
 def test_minimal_additive_cover_partition():
-    best = minimal_additive_cover(family(AB, CH1, (1, 0), (0, 1)))
+    best = minimal_additive_cover_search(family(AB, CH1, (1, 0), (0, 1))).certificate
     assert entries(best) == [((0, 1), 1), ((1, 0), 1)]
     assert best.total_multiplicity == 2
 
 
 def test_minimal_subcover_unit_wins():
-    sub = minimal_subcover(family(AB, CH1, (1, 0), (0, 1), (1, 1)))
+    sub = minimal_subcover_search(family(AB, CH1, (1, 0), (0, 1), (1, 1))).subcover
     assert [m.values for m in sub] == [(1, 1)]
 
 
 def test_minimal_subcover_requires_both():
-    sub = minimal_subcover(family(AB, CH2, (2, 1), (1, 2)))
+    sub = minimal_subcover_search(family(AB, CH2, (2, 1), (1, 2))).subcover
     assert [m.values for m in sub] == [(1, 2), (2, 1)]
 
 
 def test_minimal_subcover_infeasible():
-    assert minimal_subcover(family(AB, CH2, (1, 2))) is None
+    assert minimal_subcover_search(family(AB, CH2, (1, 2))).subcover is None
 
 
 def test_solvers_match_exhaustive_minima():
@@ -314,7 +312,7 @@ def test_minimal_total_never_exceeds_greedy_total():
             ],
         )
         greedy = find_additive_subcover(fam)
-        best = minimal_additive_cover(fam)
+        best = minimal_additive_cover_search(fam).certificate
         assert (greedy is None) == (best is None)
         if greedy is not None:
             assert best.total_multiplicity <= greedy.total_multiplicity
