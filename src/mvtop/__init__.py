@@ -1,63 +1,55 @@
-"""Exact workbench for finite MV-topological spaces over finite Lukasiewicz chains."""
+"""Exact workbench for finite MV-topological spaces over finite Lukasiewicz chains.
 
-from .core import (
-    Carrier,
-    Chain,
-    FuzzyFamily,
-    FuzzySet,
-    PointMap,
-    forward_image,
-    is_filter,
-    is_ideal,
-    mv_preimage,
-)
-from .covers import (
-    CoverCertificate,
-    ProductSubcover,
-    Term,
-    eval_term,
-    find_additive_subcover,
-    has_additive_subcover,
-    is_additive_cover,
-    is_compact,
-    is_cover,
-    is_strongly_compact,
-    product_subbasic_subcover,
-    term_witness,
-)
-from .errors import InputError, MVTopologyError, PreconditionError, ResourceLimitError
-from .maps import (
-    continuity_counterexample,
-    is_closed_map,
-    is_continuous,
-    is_continuous_via_base,
-    is_homeomorphism,
-    is_open_map,
-)
-from .product import ProductSpace, product, tupling, verify_universal_property
-from .topology import (
-    FuzzyPoint,
-    MetricInstance,
-    Topology,
-    base_from_subbase,
-    base_witness,
-    check_hausdorff,
-    clopens,
-    closed_sets,
-    crisp_discrete,
-    generate_from_subbase,
-    indiscrete,
-    is_base,
-    is_hausdorff,
-    is_large_subbase,
-    is_stone,
-    is_subbase,
-    is_topology,
-    is_zero_dimensional,
-    large_subbase_witness,
-    metric_ball_family,
-    metric_induced,
-    open_ball,
-)
+The package exports its names lazily (PEP 562): a name's module is imported on
+first access, so a command loads only the modules it runs.  `product` is bound
+at once: importing the submodule `mvtop.product` would rebind the package
+attribute of that name to the module.
+"""
 
+import importlib
+
+from .product import product
+
+# each exported name's module
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("core", "Carrier Chain FuzzyFamily FuzzySet PointMap forward_image is_filter is_ideal mv_preimage"),
+        (
+            "covers",
+            "CoverCertificate ProductSubcover Term eval_term find_additive_subcover has_additive_subcover"
+            " is_additive_cover is_compact is_cover is_strongly_compact product_subbasic_subcover term_witness",
+        ),
+        ("errors", "InputError MVTopologyError PreconditionError ResourceLimitError"),
+        (
+            "maps",
+            "continuity_counterexample is_closed_map is_continuous is_continuous_via_base"
+            " is_homeomorphism is_open_map",
+        ),
+        ("metric", "FuzzyPoint MetricInstance metric_ball_family metric_induced open_ball"),
+        ("product", "ProductSpace tupling verify_universal_property"),
+        (
+            "topology",
+            "Topology base_from_subbase base_witness check_hausdorff clopens closed_sets crisp_discrete"
+            " generate_from_subbase indiscrete is_base is_hausdorff is_large_subbase is_stone is_subbase"
+            " is_topology is_zero_dimensional large_subbase_witness",
+        ),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted([*_EXPORTS, "product"])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

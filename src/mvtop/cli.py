@@ -10,6 +10,12 @@ document cap of `gen`, allows.  A flag that would be ignored is refused (exit
 --max-opens` without `--oracle`, and `--max-opens` with `--subbase-only`.
 Output is canonical, so a rerun on identical input produces byte-identical
 bytes.
+
+Every command runs in a fresh process, where importing the package can cost
+more than the computation, so a command imports what only it runs (the
+solvers, maps, products, metrics, suites and oracles) inside its function;
+at module level the CLI loads the documents and the topology core that
+nearly every command needs.
 """
 
 from __future__ import annotations
@@ -18,13 +24,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .covers import (
-    DEFAULT_MAX_NODES,
-    is_compact,
-    is_strongly_compact,
-    minimal_additive_cover_search,
-    minimal_subcover_search,
-)
 from .documents import (
     SpaceDocument,
     dumps_canonical,
@@ -37,8 +36,6 @@ from .documents import (
     space_document_to_obj,
 )
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .maps import continuity_counterexample
-from .product import product
 from .topology import (
     DEFAULT_MAX_OPENS,
     Topology,
@@ -48,8 +45,6 @@ from .topology import (
     generate_from_subbase,
     is_zero_dimensional,
     large_subbase_witness,
-    metric_ball_family,
-    metric_induced,
     topology_violation,
 )
 
@@ -95,6 +90,13 @@ def _positive_int(text: str) -> int:
 def _max_opens(args, caps: dict[str, int]) -> int:
     """The closure cap: the --max-opens flag, else the document cap, else the default."""
     return args.max_opens or caps.get("max_opens") or DEFAULT_MAX_OPENS
+
+
+def _max_nodes(args) -> int:
+    """The solver node cap: the --max-nodes flag, else the solvers' default."""
+    from .covers import DEFAULT_MAX_NODES
+
+    return args.max_nodes or DEFAULT_MAX_NODES
 
 
 def _subbase_only(args) -> bool:
@@ -143,6 +145,8 @@ def _on_topology(check):
 
 
 def _check_compact(topology: Topology, args) -> dict:
+    from .covers import is_compact, is_strongly_compact
+
     strong = args.kind == "strong-compact"
     if not args.oracle:
         verdict = is_strongly_compact(topology) if strong else is_compact(topology)
@@ -177,6 +181,8 @@ def _check_zerodim(topology: Topology, args) -> dict:
 
 
 def _check_stone(topology: Topology, args) -> dict:
+    from .covers import is_compact
+
     compact = is_compact(topology)
     hausdorff = check_hausdorff(topology).hausdorff
     zerodim = is_zero_dimensional(topology)
@@ -215,6 +221,8 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_product(args) -> dict:
+    from .product import product
+
     subbase_only = _subbase_only(args)
     docs = [_space_document(path) for path in args.inputs]
     factors = [_topology_from(doc, "product") for doc in docs]
@@ -225,8 +233,10 @@ def _cmd_product(args) -> dict:
 
 
 def _cmd_mincover(args) -> dict:
+    from .covers import minimal_additive_cover_search
+
     doc = parse_family_document(_load(args.input))
-    certificate = minimal_additive_cover_search(doc.family, max_nodes=args.max_nodes).certificate
+    certificate = minimal_additive_cover_search(doc.family, max_nodes=_max_nodes(args)).certificate
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
     report["feasible"] = certificate is not None
     if certificate is not None:
@@ -239,8 +249,10 @@ def _cmd_mincover(args) -> dict:
 
 
 def _cmd_subcover(args) -> dict:
+    from .covers import minimal_subcover_search
+
     doc = parse_family_document(_load(args.input))
-    subcover = minimal_subcover_search(doc.family, max_nodes=args.max_nodes).subcover
+    subcover = minimal_subcover_search(doc.family, max_nodes=_max_nodes(args)).subcover
     report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
     report["feasible"] = subcover is not None
     if subcover is not None:
@@ -250,6 +262,8 @@ def _cmd_subcover(args) -> dict:
 
 
 def _cmd_metric(args) -> dict:
+    from .metric import metric_ball_family, metric_induced
+
     subbase_only = _subbase_only(args)
     doc = parse_metric_document(_load(args.input))
     metric = doc.metric
@@ -261,6 +275,8 @@ def _cmd_metric(args) -> dict:
 
 
 def _cmd_continuity(args) -> dict:
+    from .maps import continuity_counterexample
+
     doc = parse_map_document(_load(args.input), base_dir=Path(args.input).parent)
     domain = _topology_from(doc.domain, "continuity domain")
     codomain = _topology_from(doc.codomain, "continuity codomain")
@@ -269,7 +285,7 @@ def _cmd_continuity(args) -> dict:
 
 
 def _cmd_verify(args):
-    from . import suites  # loads generators and oracles; imported here to keep other commands lean
+    from . import suites
 
     names = ", ".join(sorted(suites.SUITES))
     if args.suite not in suites.SUITES:
@@ -294,9 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
 
     def add_max_nodes(p):
-        p.add_argument(
-            "--max-nodes", type=_positive_int, default=DEFAULT_MAX_NODES, help="solver node cap"
-        )
+        p.add_argument("--max-nodes", type=_positive_int, default=None, help="solver node cap")
 
     p = sub.add_parser("gen", help="generate a topology from a subbase document")
     add_input(p)

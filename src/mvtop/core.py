@@ -8,25 +8,106 @@ families, and point maps are immutable; all operations are pure.
 operations check their operands.  `Lanes` is the compute representation for
 hot scans: a whole value vector packed into one int, with lane-wise operations
 that trust their operands because they only ever see validated values.
+
+The value classes are `Record`s: plain `__slots__` classes whose constructor,
+equality, hash, repr and immutability are written once, in `Record`, so that
+no class is generated at import; importing costs a command more than most of
+its computation does.  The classes built in hot loops spell out their own
+`__init__`, `__eq__` and `__hash__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
 
+_set = object.__setattr__  # how a Record writes its own fields
 
-@dataclass(frozen=True)
-class Chain:
-    """The finite value chain with elements 0..n (element k stands for k/n)."""
 
-    n: int
+class Record:
+    """An immutable value: the fields are the `__slots__`, in order.
+
+    The constructor takes the fields by position or keyword, fills the missing
+    ones from `_defaults`, then runs `__post_init__`.  Equality (only within one
+    class) and the hash go by the fields, the repr is `Name(field=value, ...)`,
+    and assigning or deleting a field raises `AttributeError`.  Copies and
+    pickles are rebuilt by the constructor from `_astuple()`.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        self.__post_init__()
+
+    def _arguments(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, from the arguments, else from `_defaults`."""
+        fields, name = self.__slots__, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields or field in values:
+                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
+            values[field] = value
+        for field in fields:
+            if field not in values:
+                if field not in self._defaults:
+                    raise TypeError(f"{name}() missing argument {field!r}")
+                values[field] = self._defaults[field]
+        return [values[field] for field in fields]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InputError(f"chain resolution must be an integer >= 1, got {self.n!r}")
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, field) for field in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Chain(Record):
+    """The finite value chain with elements 0..n (element k stands for k/n)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"chain resolution must be an integer >= 1, got {n!r}")
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n,) == (other.n,)
+
+    def __hash__(self):
+        return hash((self.n,))
 
     def check(self, a: int) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a <= self.n:
@@ -73,19 +154,27 @@ class Chain:
         return self.n if s > self.n else s
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(Record):
     """An ordered finite set of distinct point labels; index order is canonical."""
 
-    points: tuple[str, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: tuple[str, ...]):
+        if not points:
             raise InputError("carrier must contain at least one point")
-        if any(not isinstance(p, str) for p in self.points):
+        if any(not isinstance(p, str) for p in points):
             raise InputError("carrier points must be strings")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise InputError("carrier points must be pairwise distinct")
+        _set(self, "points", points)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points,) == (other.points,)
+
+    def __hash__(self):
+        return hash((self.points,))
 
     @property
     def size(self) -> int:
@@ -101,17 +190,28 @@ class Carrier:
         return self.points[i]
 
 
-@dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(Record):
     """A map from the carrier to the chain, stored as one value per point.
 
     Equality is componentwise; the canonical order of fuzzy sets is the
     lexicographic order of their value vectors.
     """
 
-    carrier: Carrier
-    chain: Chain
-    values: tuple[int, ...]
+    __slots__ = ("carrier", "chain", "values")
+
+    def __init__(self, carrier: Carrier, chain: Chain, values: tuple[int, ...]):
+        _set(self, "carrier", carrier)
+        _set(self, "chain", chain)
+        _set(self, "values", values)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.chain, self.values) == (other.carrier, other.chain, other.values)
+
+    def __hash__(self):
+        return hash((self.carrier, self.chain, self.values))
 
     def __post_init__(self):
         if len(self.values) != self.carrier.size:
@@ -261,10 +361,10 @@ class Lanes:
         return acc
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(Record):
     """A function between carriers, given by the codomain index of each point."""
 
+    __slots__ = ("domain", "codomain", "images")
     domain: Carrier
     codomain: Carrier
     images: tuple[int, ...]
@@ -314,29 +414,40 @@ class PointMap:
         return PointMap(self.codomain, self.domain, tuple(inv))
 
 
-@dataclass(frozen=True)
-class FuzzyFamily:
+class FuzzyFamily(Record):
     """A duplicate-free family of fuzzy sets on one carrier, kept in canonical order.
 
     The family is the one place that deduplicates fuzzy sets and decides
     membership; both go by value vector, which identifies a member once its
-    carrier and chain are checked.
+    carrier and chain are checked.  `_by_values` is no field: equality, the
+    hash and the repr leave it out.
     """
 
-    carrier: Carrier
-    chain: Chain
-    members: tuple[FuzzySet, ...] = ()
-    _by_values: dict[tuple[int, ...], FuzzySet] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("carrier", "chain", "members", "_by_values")
 
-    def __post_init__(self):
-        for m in self.members:
-            if m.carrier != self.carrier or m.chain != self.chain:
+    def __init__(self, carrier: Carrier, chain: Chain, members: tuple[FuzzySet, ...] = ()):
+        for m in members:
+            if m.carrier != carrier or m.chain != chain:
                 raise InputError("family member lives on a different carrier or chain")
-        by_values = {m.values: m for m in self.members}
-        object.__setattr__(self, "_by_values", by_values)
-        object.__setattr__(self, "members", tuple(by_values[v] for v in sorted(by_values)))
+        by_values = {m.values: m for m in members}
+        _set(self, "carrier", carrier)
+        _set(self, "chain", chain)
+        _set(self, "members", tuple(by_values[v] for v in sorted(by_values)))
+        _set(self, "_by_values", by_values)
+
+    def _astuple(self) -> tuple:
+        return self.carrier, self.chain, self.members
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.chain, self.members) == (other.carrier, other.chain, other.members)
+
+    def __hash__(self):
+        return hash((self.carrier, self.chain, self.members))
+
+    def __repr__(self):
+        return f"FuzzyFamily(carrier={self.carrier!r}, chain={self.chain!r}, members={self.members!r})"
 
     @classmethod
     def of(cls, carrier: Carrier, chain: Chain, members: Iterable[FuzzySet]) -> "FuzzyFamily":

@@ -8,10 +8,9 @@ multiplicity vectors in 0..n and is the key solver decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .core import FuzzyFamily, FuzzySet, is_ideal, mv_preimage
+from .core import FuzzyFamily, FuzzySet, Record, _set, is_ideal, mv_preimage
 from .errors import InputError, PreconditionError, ResourceLimitError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoids an import cycle
@@ -21,10 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoids an import cycl
 DEFAULT_MAX_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Record):
     """A multiset of fuzzy sets, as (member, multiplicity) entries in canonical order."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[FuzzySet, int], ...]
 
     def __post_init__(self):
@@ -40,9 +39,7 @@ class CoverCertificate:
             if member.values in seen:
                 raise InputError("certificate entries must have distinct members")
             seen.add(member.values)
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: e[0].values))
-        )
+        _set(self, "entries", tuple(sorted(self.entries, key=lambda e: e[0].values)))
 
     @property
     def carrier(self):
@@ -141,8 +138,8 @@ def is_strongly_compact(topology: "Topology") -> bool:
 # -- exact solvers ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdditiveCoverSearch:
+class AdditiveCoverSearch(Record):
+    __slots__ = ("certificate", "nodes")
     certificate: CoverCertificate | None
     nodes: int
 
@@ -222,8 +219,8 @@ def minimal_additive_cover_search(
     return AdditiveCoverSearch(certificate, nodes)
 
 
-@dataclass(frozen=True)
-class SubcoverSearch:
+class SubcoverSearch(Record):
+    __slots__ = ("subcover", "nodes")
     subcover: FuzzyFamily | None
     nodes: int
 
@@ -298,10 +295,10 @@ def minimal_subcover_search(
 # -- subbasic covers of product spaces ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductSubcover:
+class ProductSubcover(Record):
     """An additive cover of a product carrier drawn from one factor's opens."""
 
+    __slots__ = ("factor_index", "certificate")
     factor_index: int
     certificate: CoverCertificate
 
@@ -361,25 +358,31 @@ VAR = "var"
 _BINARY = (OPLUS, ODOT, MEET)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Term:
+class Term(Record):
     """An expression tree with binary oplus/odot/meet nodes and variable leaves;
     equality, the hash and the repr go by the post-order, found without recursion."""
 
-    op: str
-    index: int | None = None
-    left: "Term | None" = None
-    right: "Term | None" = None
+    __slots__ = ("op", "index", "left", "right")
 
-    def __post_init__(self):
-        if self.op == VAR:
-            if self.index is None or self.index < 0 or self.left or self.right:
+    def __init__(
+        self,
+        op: str,
+        index: int | None = None,
+        left: "Term | None" = None,
+        right: "Term | None" = None,
+    ):
+        if op == VAR:
+            if index is None or index < 0 or left or right:
                 raise InputError("a variable leaf needs a nonnegative index and no children")
-        elif self.op in _BINARY:
-            if self.left is None or self.right is None or self.index is not None:
-                raise InputError(f"a {self.op} node needs exactly two children")
+        elif op in _BINARY:
+            if left is None or right is None or index is not None:
+                raise InputError(f"a {op} node needs exactly two children")
         else:
-            raise InputError(f"unknown term operation {self.op!r}")
+            raise InputError(f"unknown term operation {op!r}")
+        _set(self, "op", op)
+        _set(self, "index", index)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     @classmethod
     def var(cls, index: int) -> "Term":

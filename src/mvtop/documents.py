@@ -12,14 +12,16 @@ identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap, Record, _set
 from .errors import InputError
-from .topology import FuzzyPoint, MetricInstance
+
+if TYPE_CHECKING:  # pragma: no cover - metric documents load `metric` when parsed
+    from fractions import Fraction
+
+    from .metric import FuzzyPoint, MetricInstance
 
 _CAP_KEYS = {"max_opens"}
 
@@ -81,6 +83,8 @@ def _parse_caps(raw: Any) -> dict[str, int]:
 
 
 def parse_rational(value: Any, what: str) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(value, bool):
         raise InputError(f"{what} must be an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
@@ -99,16 +103,22 @@ def render_rational(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class SpaceDocument:
-    """A chain, points and one family of value vectors, named by its kind."""
+class SpaceDocument(Record):
+    """A chain, points and one family of value vectors, named by its kind; the
+    caps default to a fresh empty dict."""
 
+    __slots__ = ("chain", "carrier", "kind", "family", "name", "caps")
+    _defaults = {"name": None, "caps": None}
     chain: Chain
     carrier: Carrier
     kind: str  # "subbase", "opens" or "family"
     family: FuzzyFamily
-    name: str | None = None
-    caps: dict[str, int] = field(default_factory=dict)
+    name: str | None
+    caps: dict[str, int]
+
+    def __post_init__(self):
+        if self.caps is None:
+            _set(self, "caps", {})
 
 
 def parse_space_document(obj: Any) -> SpaceDocument:
@@ -147,14 +157,15 @@ def parse_family_document(obj: Any) -> SpaceDocument:
     return SpaceDocument(chain, carrier, "family", family, _parse_name(obj))
 
 
-@dataclass(frozen=True)
-class MapDocument:
+class MapDocument(Record):
     """A point map between two spaces, inline or referenced by file path."""
 
+    __slots__ = ("map", "domain", "codomain", "name")
+    _defaults = {"name": None}
     map: PointMap
     domain: SpaceDocument
     codomain: SpaceDocument
-    name: str | None = None
+    name: str | None
 
 
 def parse_map_document(obj: Any, *, base_dir: Path | None = None) -> MapDocument:
@@ -189,17 +200,20 @@ def map_document_to_obj(doc: MapDocument) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class MetricDocument:
+class MetricDocument(Record):
     """A finite metric with optional explicit ball centers and radii."""
 
+    __slots__ = ("metric", "centers", "radii", "name")
+    _defaults = {"centers": None, "radii": None, "name": None}
     metric: MetricInstance
-    centers: tuple[FuzzyPoint, ...] | None = None
-    radii: tuple[Fraction, ...] | None = None
-    name: str | None = None
+    centers: tuple[FuzzyPoint, ...] | None
+    radii: tuple[Fraction, ...] | None
+    name: str | None
 
 
 def parse_metric_document(obj: Any) -> MetricDocument:
+    from .metric import FuzzyPoint, MetricInstance
+
     if not isinstance(obj, dict):
         raise InputError("a metric document must be a JSON object")
     _require_keys(obj, {"chain", "points", "dist"}, {"name", "centers", "radii"}, "metric document")

@@ -1,0 +1,162 @@
+"""Topologies induced by finite metrics: the open balls of fuzzy points.
+
+Distances and radii are exact rationals, so this is the one module that needs
+`fractions`.  Balls are made one at a time, center-major, so a closure cap
+stops `metric_induced` as soon as the distinct balls exceed it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
+
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record
+from .errors import InputError
+from .topology import DEFAULT_MAX_OPENS, Topology, _extend, generate_from_subbase
+
+
+class FuzzyPoint(Record):
+    """A single-point fuzzy set, recorded as its support index and positive value."""
+
+    __slots__ = ("support", "value")
+    support: int
+    value: int
+
+
+class MetricInstance(Record):
+    """A finite metric on a carrier, with exact rational distances."""
+
+    __slots__ = ("carrier", "chain", "dist")
+    carrier: Carrier
+    chain: Chain
+    dist: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        k = self.carrier.size
+        if len(self.dist) != k or any(len(row) != k for row in self.dist):
+            raise InputError("distance matrix shape does not match the carrier")
+        for i in range(k):
+            if self.dist[i][i] != 0:
+                raise InputError("distance matrix must have a zero diagonal")
+            for j in range(k):
+                d = self.dist[i][j]
+                if d < 0:
+                    raise InputError("distances must be nonnegative")
+                if d != self.dist[j][i]:
+                    raise InputError("distance matrix must be symmetric")
+        for i in range(k):
+            for j in range(k):
+                for l in range(k):
+                    if self.dist[i][l] > self.dist[i][j] + self.dist[j][l]:
+                        raise InputError(
+                            f"triangle inequality fails at points {i}, {j}, {l}"
+                        )
+
+    @classmethod
+    def from_rows(
+        cls, carrier: Carrier, chain: Chain, rows: Sequence[Sequence[Fraction | int]]
+    ) -> "MetricInstance":
+        return cls(carrier, chain, tuple(tuple(Fraction(d) for d in row) for row in rows))
+
+    @property
+    def diameter(self) -> Fraction:
+        return max((d for row in self.dist for d in row), default=Fraction(0))
+
+
+def _check_center(metric: MetricInstance, center: FuzzyPoint) -> None:
+    metric.chain.check(center.value)
+    if center.value < 1:
+        raise InputError("a fuzzy point must carry a positive value")
+    if not 0 <= center.support < metric.carrier.size:
+        raise InputError(f"{center.support!r} is not a valid point index")
+
+
+def _radius(radius: Fraction) -> Fraction:
+    r = Fraction(radius)
+    if r <= 0:
+        raise InputError("ball radius must be positive")
+    return r
+
+
+def _ball(metric: MetricInstance, center: FuzzyPoint, r: Fraction) -> tuple[int, ...]:
+    row = metric.dist[center.support]
+    return tuple(center.value if row[y] < r else 0 for y in range(metric.carrier.size))
+
+
+def open_ball(metric: MetricInstance, center: FuzzyPoint, radius: Fraction) -> FuzzySet:
+    """The ball takes the center's value inside the radius and 0 at distance >= radius."""
+    _check_center(metric, center)
+    return FuzzySet(metric.carrier, metric.chain, _ball(metric, center, _radius(radius)))
+
+
+def default_centers(metric: MetricInstance) -> Iterator[FuzzyPoint]:
+    """Every fuzzy point, one at a time: each carrier point at each positive chain value."""
+    for x in range(metric.carrier.size):
+        for v in range(1, metric.chain.n + 1):
+            yield FuzzyPoint(x, v)
+
+
+def default_radii(metric: MetricInstance) -> tuple[Fraction, ...]:
+    """The distinct positive pairwise distances plus one value past the diameter.
+
+    Only finitely many balls are distinct, and these radii realize all of them.
+    """
+    positive = {d for row in metric.dist for d in row if d > 0}
+    return tuple(sorted(positive | {metric.diameter + 1}))
+
+
+def _balls(
+    metric: MetricInstance,
+    centers: Sequence[FuzzyPoint] | None,
+    radii: Sequence[Fraction] | None,
+) -> Iterator[tuple[int, ...]]:
+    """The value vector of every ball, center-major, made one at a time.
+
+    Explicit centers and radii are checked before the first ball is made, and
+    the error raised is the first that `open_ball` meets in center-major order:
+    the first center's, then the radii's, then the other centers'.  The default
+    centers are valid.
+    """
+    if radii is None:
+        radii = default_radii(metric)
+    if centers is None:
+        centers = default_centers(metric)
+        radii = [_radius(r) for r in radii]
+    elif centers and radii:
+        _check_center(metric, centers[0])
+        radii = [_radius(r) for r in radii]
+        for c in centers[1:]:
+            _check_center(metric, c)
+    for c in centers:
+        for r in radii:
+            yield _ball(metric, c, r)
+
+
+def _family(metric: MetricInstance, vectors: Iterable[tuple[int, ...]]) -> FuzzyFamily:
+    carrier, chain = metric.carrier, metric.chain
+    return FuzzyFamily.of(carrier, chain, (FuzzySet(carrier, chain, v) for v in vectors))
+
+
+def metric_ball_family(
+    metric: MetricInstance,
+    centers: Sequence[FuzzyPoint] | None = None,
+    radii: Sequence[Fraction] | None = None,
+) -> FuzzyFamily:
+    return _family(metric, dict.fromkeys(_balls(metric, centers, radii)))
+
+
+def metric_induced(
+    metric: MetricInstance,
+    centers: Sequence[FuzzyPoint] | None = None,
+    radii: Sequence[Fraction] | None = None,
+    *,
+    max_size: int = DEFAULT_MAX_OPENS,
+) -> Topology:
+    """The topology generated by the open balls of the metric.
+
+    The distinct balls are the closure's first members, so the one that takes
+    them past the cap raises the base closure's cap error at once.
+    """
+    balls: list[tuple[int, ...]] = []
+    _extend(balls, set(), _balls(metric, centers, radii), max_size, "base")
+    return generate_from_subbase(_family(metric, balls), max_size=max_size)

@@ -10,10 +10,9 @@ back the verification suites, the CLI oracle mode, and the test suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import FuzzyFamily, FuzzySet
+from .core import FuzzyFamily, FuzzySet, Record
 from .covers import CoverCertificate
 from .errors import ResourceLimitError
 from .topology import SeparationReport, Topology
@@ -151,14 +150,15 @@ def exhaustive_certificate_for_cover(
     return None
 
 
-@dataclass(frozen=True)
-class CompactnessOracleReport:
+class CompactnessOracleReport(Record):
     """Outcome of enumerating every open cover and searching its certificates."""
 
+    __slots__ = ("compact", "covers_checked", "certificates", "counterexample")
+    _defaults = {"counterexample": None}
     compact: bool
     covers_checked: int
     certificates: tuple[tuple[tuple[int, ...], CoverCertificate], ...]
-    counterexample: tuple[FuzzySet, ...] | None = None
+    counterexample: tuple[FuzzySet, ...] | None
 
 
 def _open_covers(topology: Topology, max_opens: int):

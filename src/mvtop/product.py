@@ -9,12 +9,10 @@ lazily because the opens count grows multiplicatively.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Carrier, FuzzyFamily, PointMap, mv_preimage
+from .core import Carrier, FuzzyFamily, PointMap, Record, mv_preimage
 from .errors import InputError, PreconditionError
-from .maps import is_continuous, is_continuous_via_base
 from .topology import DEFAULT_MAX_OPENS, Topology, generate_from_subbase
 
 
@@ -90,10 +88,10 @@ def tupling(maps: Sequence[PointMap], space: ProductSpace) -> PointMap:
     return PointMap(source, space.carrier, images)
 
 
-@dataclass(frozen=True)
-class UniversalPropertyReport:
+class UniversalPropertyReport(Record):
     """Checks that the tupling is the unique continuous extension of the maps."""
 
+    __slots__ = ("tupling_map", "tupling_continuous", "projections_commute", "unique")
     tupling_map: PointMap
     tupling_continuous: bool
     projections_commute: bool
@@ -108,6 +106,8 @@ def verify_universal_property(
     space: ProductSpace, source: Topology, maps: Sequence[PointMap]
 ) -> UniversalPropertyReport:
     """Verify continuity, commutation with the projections, and uniqueness."""
+    from .maps import is_continuous, is_continuous_via_base
+
     maps = tuple(maps)
     for i, (f, factor) in enumerate(zip(maps, space.factors)):
         if not is_continuous(f, source, factor):

@@ -9,10 +9,9 @@ failure, shrunk where the case function knows how.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet, is_filter, is_ideal, mv_preimage
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record, is_filter, is_ideal, mv_preimage
 from .covers import is_additive_cover, product_subbasic_subcover
 from .errors import PreconditionError
 from .generators import (
@@ -51,15 +50,18 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
+    __slots__ = (
+        "suite", "seed", "cases", "passed", "failed", "first_failure_case", "first_failure_detail"
+    )
+    _defaults = {"first_failure_case": None, "first_failure_detail": None}
     suite: str
     seed: int
     cases: int
     passed: int
     failed: int
-    first_failure_case: int | None = None
-    first_failure_detail: str | None = None
+    first_failure_case: int | None
+    first_failure_detail: str | None
 
     @property
     def all_passed(self) -> bool:

@@ -14,28 +14,33 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from . import covers as _covers
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Lanes
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Lanes, Record, _set
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_MAX_OPENS = 20_000
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """A carrier together with the explicit family of its open fuzzy sets."""
 
-    carrier: Carrier
-    chain: Chain
-    opens: FuzzyFamily
+    __slots__ = ("carrier", "chain", "opens")
 
-    def __post_init__(self):
-        if self.opens.carrier != self.carrier or self.opens.chain != self.chain:
+    def __init__(self, carrier: Carrier, chain: Chain, opens: FuzzyFamily):
+        if opens.carrier != carrier or opens.chain != chain:
             raise InputError("opens must live on the topology's carrier and chain")
+        _set(self, "carrier", carrier)
+        _set(self, "chain", chain)
+        _set(self, "opens", opens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.chain, self.opens) == (other.carrier, other.chain, other.opens)
+
+    def __hash__(self):
+        return hash((self.carrier, self.chain, self.opens))
 
     @property
     def zero(self) -> FuzzySet:
@@ -239,20 +244,23 @@ def is_zero_dimensional(topology: Topology) -> bool:
 
 def is_stone(topology: Topology) -> bool:
     """Compact, Hausdorff, and zero-dimensional."""
+    from .covers import is_compact
+
     return (
-        _covers.is_compact(topology)
+        is_compact(topology)
         and is_hausdorff(topology)
         and is_zero_dimensional(topology)
     )
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     """Outcome of the Hausdorff check: per-pair witnesses or the failing pair."""
 
+    __slots__ = ("hausdorff", "witnesses", "failing_pair")
+    _defaults = {"witnesses": (), "failing_pair": None}
     hausdorff: bool
-    witnesses: tuple[tuple[tuple[int, int], tuple[FuzzySet, FuzzySet]], ...] = ()
-    failing_pair: tuple[int, int] | None = None
+    witnesses: tuple[tuple[tuple[int, int], tuple[FuzzySet, FuzzySet]], ...]
+    failing_pair: tuple[int, int] | None
 
 
 def check_hausdorff(topology: Topology) -> SeparationReport:
@@ -283,113 +291,3 @@ def check_hausdorff(topology: Topology) -> SeparationReport:
 
 def is_hausdorff(topology: Topology) -> bool:
     return check_hausdorff(topology).hausdorff
-
-
-# -- metric-induced topologies -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FuzzyPoint:
-    """A single-point fuzzy set, recorded as its support index and positive value."""
-
-    support: int
-    value: int
-
-
-@dataclass(frozen=True)
-class MetricInstance:
-    """A finite metric on a carrier, with exact rational distances."""
-
-    carrier: Carrier
-    chain: Chain
-    dist: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        k = self.carrier.size
-        if len(self.dist) != k or any(len(row) != k for row in self.dist):
-            raise InputError("distance matrix shape does not match the carrier")
-        for i in range(k):
-            if self.dist[i][i] != 0:
-                raise InputError("distance matrix must have a zero diagonal")
-            for j in range(k):
-                d = self.dist[i][j]
-                if d < 0:
-                    raise InputError("distances must be nonnegative")
-                if d != self.dist[j][i]:
-                    raise InputError("distance matrix must be symmetric")
-        for i in range(k):
-            for j in range(k):
-                for l in range(k):
-                    if self.dist[i][l] > self.dist[i][j] + self.dist[j][l]:
-                        raise InputError(
-                            f"triangle inequality fails at points {i}, {j}, {l}"
-                        )
-
-    @classmethod
-    def from_rows(
-        cls, carrier: Carrier, chain: Chain, rows: Sequence[Sequence[Fraction | int]]
-    ) -> "MetricInstance":
-        return cls(carrier, chain, tuple(tuple(Fraction(d) for d in row) for row in rows))
-
-    @property
-    def diameter(self) -> Fraction:
-        return max((d for row in self.dist for d in row), default=Fraction(0))
-
-
-def open_ball(metric: MetricInstance, center: FuzzyPoint, radius: Fraction) -> FuzzySet:
-    """The ball takes the center's value inside the radius and 0 at distance >= radius."""
-    metric.chain.check(center.value)
-    if center.value < 1:
-        raise InputError("a fuzzy point must carry a positive value")
-    if not 0 <= center.support < metric.carrier.size:
-        raise InputError(f"{center.support!r} is not a valid point index")
-    r = Fraction(radius)
-    if r <= 0:
-        raise InputError("ball radius must be positive")
-    row = metric.dist[center.support]
-    return FuzzySet(
-        metric.carrier,
-        metric.chain,
-        tuple(center.value if row[y] < r else 0 for y in range(metric.carrier.size)),
-    )
-
-
-def default_centers(metric: MetricInstance) -> tuple[FuzzyPoint, ...]:
-    """Every fuzzy point: each carrier point at each positive chain value."""
-    return tuple(
-        FuzzyPoint(x, v)
-        for x in range(metric.carrier.size)
-        for v in range(1, metric.chain.n + 1)
-    )
-
-def default_radii(metric: MetricInstance) -> tuple[Fraction, ...]:
-    """The distinct positive pairwise distances plus one value past the diameter.
-
-    Only finitely many balls are distinct, and these radii realize all of them.
-    """
-    positive = {d for row in metric.dist for d in row if d > 0}
-    return tuple(sorted(positive | {metric.diameter + 1}))
-
-
-def metric_ball_family(
-    metric: MetricInstance,
-    centers: Sequence[FuzzyPoint] | None = None,
-    radii: Sequence[Fraction] | None = None,
-) -> FuzzyFamily:
-    if centers is None:
-        centers = default_centers(metric)
-    if radii is None:
-        radii = default_radii(metric)
-    balls = [open_ball(metric, c, r) for c in centers for r in radii]
-    return FuzzyFamily.of(metric.carrier, metric.chain, balls)
-
-
-def metric_induced(
-    metric: MetricInstance,
-    centers: Sequence[FuzzyPoint] | None = None,
-    radii: Sequence[Fraction] | None = None,
-    *,
-    max_size: int = DEFAULT_MAX_OPENS,
-) -> Topology:
-    """The topology generated by the open balls of the metric."""
-    return generate_from_subbase(metric_ball_family(metric, centers, radii), max_size=max_size)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 from pathlib import Path
@@ -476,6 +477,38 @@ def test_subbase_only_refuses_max_opens(command, document):
     assert err == "error: --max-opens bounds the closure, which --subbase-only does not build\n"
 
 
+def test_metric_stops_at_the_cap_before_making_every_ball():
+    # 400000 default fuzzy points: the sixth distinct ball passes the cap of 5
+    wide = {**METRIC, "chain": 200_000}
+    start = time.perf_counter()
+    code, out, err = run_cli(["metric", "--max-opens", "5", "-"], doc(wide))
+    seconds = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err == "error: base closure exceeded the size cap (cap 5, reached 6)\n"
+    assert seconds < 1
+
+
+@pytest.mark.parametrize(
+    "centers, radii, message",
+    [
+        ([["a", 0], ["b", 1]], [0, 1], "a fuzzy point must carry a positive value"),
+        ([["a", 1], ["b", 3]], [1, 0], "ball radius must be positive"),
+        ([["a", 1], ["b", 3]], [1], "3 is not an element of the chain 0..2"),
+        ([["a", 0]], [], None),
+        ([], [0], None),
+    ],
+)
+def test_metric_checks_centers_and_radii_in_center_major_order(centers, radii, message):
+    # the first error is the one the first ball of a bad center or radius would raise
+    document = {**METRIC, "centers": centers, "radii": radii}
+    for argv in (["metric", "-"], ["metric", "--subbase-only", "-"]):
+        code, out, err = run_cli(argv, doc(document))
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_metric_rejects_invalid_matrix():
     bad = {"chain": 2, "points": ["a", "b"], "dist": [[0, 1], [2, 0]]}
     code, _, err = run_cli(["metric", "-"], doc(bad))
@@ -527,18 +560,71 @@ def test_verify_unknown_suite_exits_2():
     assert all(name in lines[0] for name in SUITES)
 
 
-def test_importing_the_cli_leaves_the_verification_stack_unloaded():
-    # only verify and check --oracle need the suites, generators and oracles
-    probe = (
-        "import sys, mvtop.cli; "
-        "print([m for m in ('mvtop.suites', 'mvtop.generators', 'mvtop.oracles') if m in sys.modules])"
-    )
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "[]\n"
+# A fresh `python -S` runs each command through runpy, as `python -m mvtop.cli`
+# would, then prints the modules it loaded on a last line of its own.
+LOAD_PROBE = """
+import runpy, sys
+sys.argv = ["mvtop", *sys.argv[1:]]
+try:
+    runpy.run_module("mvtop.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print()
+print(code, *sorted(m for m in sys.modules if m.startswith("mvtop.") or m in WATCHED))
+""".replace("WATCHED", repr({"dataclasses", "inspect", "fractions"}))
+
+LOAD_FILES = {
+    "space.json": DISCRETE,
+    "family.json": {"chain": 1, "points": ["a", "b"], "family": [[0, 1], [1, 0]]},
+    "metric.json": {"chain": 2, "points": ["a", "b"], "dist": [[0, 1], [1, 0]]},
+    "map.json": {"domain": "space.json", "codomain": INDISCRETE, "map": [0, 0]},
+}
+
+SOLVERS = {"mvtop.covers"}
+VERIFICATION = {"mvtop.suites", "mvtop.generators", "mvtop.oracles"}
+
+# argv -> the watched modules it needs, beyond those every command loads
+LOADS = {
+    ("gen", "space.json"): set(),
+    ("check", "topology", "space.json"): set(),
+    ("check", "compact", "space.json"): SOLVERS,
+    ("check", "strong-compact", "space.json"): SOLVERS,
+    ("check", "compact", "--oracle", "space.json"): SOLVERS | {"mvtop.oracles"},
+    ("check", "strong-compact", "--oracle", "space.json"): SOLVERS | {"mvtop.oracles"},
+    ("check", "hausdorff", "space.json"): set(),
+    ("check", "zerodim", "space.json"): set(),
+    ("check", "stone", "space.json"): SOLVERS,
+    ("check", "large-subbase", "space.json"): set(),
+    ("product", "space.json", "space.json"): set(),
+    ("product", "--subbase-only", "space.json"): set(),
+    ("mincover", "family.json"): SOLVERS,
+    ("subcover", "family.json"): SOLVERS,
+    ("metric", "metric.json"): {"mvtop.metric", "fractions"},
+    ("metric", "--subbase-only", "metric.json"): {"mvtop.metric", "fractions"},
+    ("continuity", "map.json"): {"mvtop.maps"},
+    ("verify", "algebra", "--cases", "2"): SOLVERS | VERIFICATION | {"mvtop.maps"},
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # every request is a fresh process, so what a command imports is part of its cost
+    assert {" ".join(argv[: 2 if argv[0] == "check" else 1]) for argv in LOADS} == set(COMMANDS)
+    for name, obj in LOAD_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    # runpy runs mvtop.cli as __main__; the package binds product at once
+    common = {"mvtop.core", "mvtop.documents", "mvtop.errors", "mvtop.product", "mvtop.topology"}
+    for argv, needed in LOADS.items():
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LOAD_PROBE, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        code, *loaded = proc.stdout.splitlines()[-1].split()
+        assert (code, proc.stderr) in {("0", ""), ("1", "")}, argv
+        assert set(loaded) == common | needed, argv
+    mentions = [p.name for p in Path(src, "mvtop").glob("*.py") if "dataclass" in p.read_text()]
+    assert mentions == []
 
 
 def test_the_program_needs_only_the_standard_library():

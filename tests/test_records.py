@@ -1,0 +1,449 @@
+"""The value classes keep the contract they had as frozen dataclasses.
+
+One instance of each class, built afresh, must keep its repr, equal a
+rebuilt twin, differ from a changed twin, and keep its hash.  The figures were
+recorded while the classes were still built by `dataclasses`.  Hashes go
+through a fresh interpreter with PYTHONHASHSEED=0, so that string hashes
+repeat; a Term's hash involves hash(None), which differs between runs before
+Python 3.12, so for a Term only its agreement with the twin's is recorded.
+"""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import mvtop
+from mvtop import (
+    Carrier,
+    Chain,
+    CoverCertificate,
+    FuzzyFamily,
+    FuzzyPoint,
+    FuzzySet,
+    MetricInstance,
+    PointMap,
+    ProductSubcover,
+    Term,
+    Topology,
+)
+from mvtop.covers import AdditiveCoverSearch, SubcoverSearch
+from mvtop.documents import MapDocument, MetricDocument, SpaceDocument
+from mvtop.oracles import CompactnessOracleReport
+from mvtop.product import UniversalPropertyReport
+from mvtop.suites import SuiteReport
+from mvtop.topology import SeparationReport
+
+
+def carrier(*points):
+    return Carrier(points or ("a", "b"))
+
+
+def fs(*values):
+    return FuzzySet(carrier(), Chain(2), values)
+
+
+def family(*vectors):
+    return FuzzyFamily(carrier(), Chain(2), tuple(fs(*v) for v in vectors))
+
+
+def space(name="s", caps=None):
+    extra = () if caps is None else (caps,)
+    return SpaceDocument(Chain(2), carrier(), "opens", family((0, 0), (2, 2)), name, *extra)
+
+
+def metric(d=Fraction(1, 2)):
+    return MetricInstance(carrier(), Chain(2), ((Fraction(0), d), (d, Fraction(0))))
+
+
+def cert(k=1):
+    return CoverCertificate(((fs(2, 2), k), (fs(1, 0), 1)))
+
+
+def swap():
+    return PointMap(carrier(), carrier(), (1, 0))
+
+
+# class name -> (build an instance, build a changed twin)
+CASES = {
+    "Chain": (lambda: Chain(3), lambda: Chain(4)),
+    "Carrier": (lambda: carrier(), lambda: carrier("a", "c")),
+    "FuzzySet": (lambda: fs(1, 2), lambda: fs(2, 1)),
+    "PointMap": (swap, lambda: PointMap(carrier(), carrier(), (0, 0))),
+    "FuzzyFamily": (lambda: family((2, 2), (0, 1), (0, 1)), lambda: family((2, 2))),
+    "Topology": (
+        lambda: Topology(carrier(), Chain(2), family((0, 0), (2, 2))),
+        lambda: Topology(carrier(), Chain(2), family((0, 0), (0, 2), (2, 2))),
+    ),
+    "SeparationReport": (
+        lambda: SeparationReport(False, (((0, 1), (fs(2, 0), fs(0, 2))),), (1, 2)),
+        lambda: SeparationReport(True, (((0, 1), (fs(2, 0), fs(0, 2))),)),
+    ),
+    "FuzzyPoint": (lambda: FuzzyPoint(1, 2), lambda: FuzzyPoint(0, 2)),
+    "MetricInstance": (metric, lambda: metric(Fraction(1))),
+    "SpaceDocument": (space, lambda: space(caps={"max_opens": 4})),
+    "MapDocument": (
+        lambda: MapDocument(swap(), space(), space("t")),
+        lambda: MapDocument(swap(), space(), space("t"), "m"),
+    ),
+    "MetricDocument": (
+        lambda: MetricDocument(metric(), (FuzzyPoint(0, 1),), (Fraction(3, 2),), "d"),
+        lambda: MetricDocument(metric()),
+    ),
+    "CoverCertificate": (cert, lambda: cert(2)),
+    "AdditiveCoverSearch": (lambda: AdditiveCoverSearch(cert(), 7), lambda: AdditiveCoverSearch(None, 7)),
+    "SubcoverSearch": (lambda: SubcoverSearch(family((2, 2)), 3), lambda: SubcoverSearch(family((2, 2)), 4)),
+    "ProductSubcover": (lambda: ProductSubcover(0, cert()), lambda: ProductSubcover(1, cert())),
+    "Term": (
+        lambda: Term.meet(Term.oplus(Term.var(0), Term.var(1)), Term.var(0)),
+        lambda: Term.meet(Term.odot(Term.var(0), Term.var(1)), Term.var(0)),
+    ),
+    "UniversalPropertyReport": (
+        lambda: UniversalPropertyReport(swap(), True, True, False),
+        lambda: UniversalPropertyReport(swap(), True, True, True),
+    ),
+    "CompactnessOracleReport": (
+        lambda: CompactnessOracleReport(False, 2, (((0, 1), cert()),), (fs(0, 1),)),
+        lambda: CompactnessOracleReport(True, 2, (((0, 1), cert()),)),
+    ),
+    "SuiteReport": (
+        lambda: SuiteReport("algebra", 1, 5, 4, 1, 3, "detail"),
+        lambda: SuiteReport("algebra", 1, 5, 5, 0),
+    ),
+}
+
+# class name -> (repr, repr of the changed twin, hash)
+RECORDED = {
+    "Chain": (
+        "Chain(n=3)",
+        "Chain(n=4)",
+        -5029647727744300836,
+    ),
+    "Carrier": (
+        "Carrier(points=('a', 'b'))",
+        "Carrier(points=('a', 'c'))",
+        4390508398689642242,
+    ),
+    "FuzzySet": (
+        "FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(1, 2))",
+        "FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(2, 1))",
+        -5416813045254117863,
+    ),
+    "PointMap": (
+        (
+            "PointMap(domain=Carrier(points=('a', 'b')), codomain=Carrier(points=('a', 'b')), ima"
+            "ges=(1, 0))"
+        ),
+        (
+            "PointMap(domain=Carrier(points=('a', 'b')), codomain=Carrier(points=('a', 'b')), ima"
+            "ges=(0, 0))"
+        ),
+        8365076247894319245,
+    ),
+    "FuzzyFamily": (
+        (
+            "FuzzyFamily(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), members=(FuzzySet("
+            "carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(0, 1)), FuzzySet(carri"
+            "er=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(2, 2))))"
+        ),
+        (
+            "FuzzyFamily(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), members=(FuzzySet("
+            "carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(2, 2)),))"
+        ),
+        -36587216574922527,
+    ),
+    "Topology": (
+        (
+            "Topology(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), opens=FuzzyFamily(car"
+            "rier=Carrier(points=('a', 'b')), chain=Chain(n=2), members=(FuzzySet(carrier=Carrier"
+            "(points=('a', 'b')), chain=Chain(n=2), values=(0, 0)), FuzzySet(carrier=Carrier(poin"
+            "ts=('a', 'b')), chain=Chain(n=2), values=(2, 2)))))"
+        ),
+        (
+            "Topology(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), opens=FuzzyFamily(car"
+            "rier=Carrier(points=('a', 'b')), chain=Chain(n=2), members=(FuzzySet(carrier=Carrier"
+            "(points=('a', 'b')), chain=Chain(n=2), values=(0, 0)), FuzzySet(carrier=Carrier(poin"
+            "ts=('a', 'b')), chain=Chain(n=2), values=(0, 2)), FuzzySet(carrier=Carrier(points=('"
+            "a', 'b')), chain=Chain(n=2), values=(2, 2)))))"
+        ),
+        -5989080774540829263,
+    ),
+    "SeparationReport": (
+        (
+            "SeparationReport(hausdorff=False, witnesses=(((0, 1), (FuzzySet(carrier=Carrier(poin"
+            "ts=('a', 'b')), chain=Chain(n=2), values=(2, 0)), FuzzySet(carrier=Carrier(points=('"
+            "a', 'b')), chain=Chain(n=2), values=(0, 2)))),), failing_pair=(1, 2))"
+        ),
+        (
+            "SeparationReport(hausdorff=True, witnesses=(((0, 1), (FuzzySet(carrier=Carrier(point"
+            "s=('a', 'b')), chain=Chain(n=2), values=(2, 0)), FuzzySet(carrier=Carrier(points=('a"
+            "', 'b')), chain=Chain(n=2), values=(0, 2)))),), failing_pair=None)"
+        ),
+        852950916441498812,
+    ),
+    "FuzzyPoint": (
+        "FuzzyPoint(support=1, value=2)",
+        "FuzzyPoint(support=0, value=2)",
+        -3550055125485641917,
+    ),
+    "MetricInstance": (
+        (
+            "MetricInstance(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), dist=((Fraction"
+            "(0, 1), Fraction(1, 2)), (Fraction(1, 2), Fraction(0, 1))))"
+        ),
+        (
+            "MetricInstance(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), dist=((Fraction"
+            "(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1))))"
+        ),
+        5823444818781168158,
+    ),
+    "SpaceDocument": (
+        (
+            "SpaceDocument(chain=Chain(n=2), carrier=Carrier(points=('a', 'b')), kind='opens', fa"
+            "mily=FuzzyFamily(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), members=(Fuzz"
+            "ySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(0, 0)), FuzzySet("
+            "carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(2, 2)))), name='s', ca"
+            "ps={})"
+        ),
+        (
+            "SpaceDocument(chain=Chain(n=2), carrier=Carrier(points=('a', 'b')), kind='opens', fa"
+            "mily=FuzzyFamily(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), members=(Fuzz"
+            "ySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(0, 0)), FuzzySet("
+            "carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(2, 2)))), name='s', ca"
+            "ps={'max_opens': 4})"
+        ),
+        "TypeError: unhashable type: 'dict'",
+    ),
+    "MapDocument": (
+        (
+            "MapDocument(map=PointMap(domain=Carrier(points=('a', 'b')), codomain=Carrier(points="
+            "('a', 'b')), images=(1, 0)), domain=SpaceDocument(chain=Chain(n=2), carrier=Carrier("
+            "points=('a', 'b')), kind='opens', family=FuzzyFamily(carrier=Carrier(points=('a', 'b"
+            "')), chain=Chain(n=2), members=(FuzzySet(carrier=Carrier(points=('a', 'b')), chain=C"
+            "hain(n=2), values=(0, 0)), FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), values=(2, 2)))), name='s', caps={}), codomain=SpaceDocument(chain=Chain(n=2),"
+            " carrier=Carrier(points=('a', 'b')), kind='opens', family=FuzzyFamily(carrier=Carrie"
+            "r(points=('a', 'b')), chain=Chain(n=2), members=(FuzzySet(carrier=Carrier(points=('a"
+            "', 'b')), chain=Chain(n=2), values=(0, 0)), FuzzySet(carrier=Carrier(points=('a', 'b"
+            "')), chain=Chain(n=2), values=(2, 2)))), name='t', caps={}), name=None)"
+        ),
+        (
+            "MapDocument(map=PointMap(domain=Carrier(points=('a', 'b')), codomain=Carrier(points="
+            "('a', 'b')), images=(1, 0)), domain=SpaceDocument(chain=Chain(n=2), carrier=Carrier("
+            "points=('a', 'b')), kind='opens', family=FuzzyFamily(carrier=Carrier(points=('a', 'b"
+            "')), chain=Chain(n=2), members=(FuzzySet(carrier=Carrier(points=('a', 'b')), chain=C"
+            "hain(n=2), values=(0, 0)), FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), values=(2, 2)))), name='s', caps={}), codomain=SpaceDocument(chain=Chain(n=2),"
+            " carrier=Carrier(points=('a', 'b')), kind='opens', family=FuzzyFamily(carrier=Carrie"
+            "r(points=('a', 'b')), chain=Chain(n=2), members=(FuzzySet(carrier=Carrier(points=('a"
+            "', 'b')), chain=Chain(n=2), values=(0, 0)), FuzzySet(carrier=Carrier(points=('a', 'b"
+            "')), chain=Chain(n=2), values=(2, 2)))), name='t', caps={}), name='m')"
+        ),
+        "TypeError: unhashable type: 'dict'",
+    ),
+    "MetricDocument": (
+        (
+            "MetricDocument(metric=MetricInstance(carrier=Carrier(points=('a', 'b')), chain=Chain"
+            "(n=2), dist=((Fraction(0, 1), Fraction(1, 2)), (Fraction(1, 2), Fraction(0, 1)))), c"
+            "enters=(FuzzyPoint(support=0, value=1),), radii=(Fraction(3, 2),), name='d')"
+        ),
+        (
+            "MetricDocument(metric=MetricInstance(carrier=Carrier(points=('a', 'b')), chain=Chain"
+            "(n=2), dist=((Fraction(0, 1), Fraction(1, 2)), (Fraction(1, 2), Fraction(0, 1)))), c"
+            "enters=None, radii=None, name=None)"
+        ),
+        -7781997880167058943,
+    ),
+    "CoverCertificate": (
+        (
+            "CoverCertificate(entries=((FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), values=(1, 0)), 1), (FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), values=(2, 2)), 1)))"
+        ),
+        (
+            "CoverCertificate(entries=((FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), values=(1, 0)), 1), (FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), values=(2, 2)), 2)))"
+        ),
+        3874308286122499035,
+    ),
+    "AdditiveCoverSearch": (
+        (
+            "AdditiveCoverSearch(certificate=CoverCertificate(entries=((FuzzySet(carrier=Carrier("
+            "points=('a', 'b')), chain=Chain(n=2), values=(1, 0)), 1), (FuzzySet(carrier=Carrier("
+            "points=('a', 'b')), chain=Chain(n=2), values=(2, 2)), 1))), nodes=7)"
+        ),
+        "AdditiveCoverSearch(certificate=None, nodes=7)",
+        7848164972004747704,
+    ),
+    "SubcoverSearch": (
+        (
+            "SubcoverSearch(subcover=FuzzyFamily(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), members=(FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values"
+            "=(2, 2)),)), nodes=3)"
+        ),
+        (
+            "SubcoverSearch(subcover=FuzzyFamily(carrier=Carrier(points=('a', 'b')), chain=Chain("
+            "n=2), members=(FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2), values"
+            "=(2, 2)),)), nodes=4)"
+        ),
+        1286269917439560974,
+    ),
+    "ProductSubcover": (
+        (
+            "ProductSubcover(factor_index=0, certificate=CoverCertificate(entries=((FuzzySet(carr"
+            "ier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(1, 0)), 1), (FuzzySet(carr"
+            "ier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(2, 2)), 1))))"
+        ),
+        (
+            "ProductSubcover(factor_index=1, certificate=CoverCertificate(entries=((FuzzySet(carr"
+            "ier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(1, 0)), 1), (FuzzySet(carr"
+            "ier=Carrier(points=('a', 'b')), chain=Chain(n=2), values=(2, 2)), 1))))"
+        ),
+        -4039840647387304311,
+    ),
+    "Term": (
+        "Term(x0 x1 oplus x0 meet)",
+        "Term(x0 x1 odot x0 meet)",
+        True,
+    ),
+    "UniversalPropertyReport": (
+        (
+            "UniversalPropertyReport(tupling_map=PointMap(domain=Carrier(points=('a', 'b')), codo"
+            "main=Carrier(points=('a', 'b')), images=(1, 0)), tupling_continuous=True, projection"
+            "s_commute=True, unique=False)"
+        ),
+        (
+            "UniversalPropertyReport(tupling_map=PointMap(domain=Carrier(points=('a', 'b')), codo"
+            "main=Carrier(points=('a', 'b')), images=(1, 0)), tupling_continuous=True, projection"
+            "s_commute=True, unique=True)"
+        ),
+        5356103355495533526,
+    ),
+    "CompactnessOracleReport": (
+        (
+            "CompactnessOracleReport(compact=False, covers_checked=2, certificates=(((0, 1), Cove"
+            "rCertificate(entries=((FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2)"
+            ", values=(1, 0)), 1), (FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2)"
+            ", values=(2, 2)), 1)))),), counterexample=(FuzzySet(carrier=Carrier(points=('a', 'b'"
+            ")), chain=Chain(n=2), values=(0, 1)),))"
+        ),
+        (
+            "CompactnessOracleReport(compact=True, covers_checked=2, certificates=(((0, 1), Cover"
+            "Certificate(entries=((FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2),"
+            " values=(1, 0)), 1), (FuzzySet(carrier=Carrier(points=('a', 'b')), chain=Chain(n=2),"
+            " values=(2, 2)), 1)))),), counterexample=None)"
+        ),
+        2311527675917678044,
+    ),
+    "SuiteReport": (
+        (
+            "SuiteReport(suite='algebra', seed=1, cases=5, passed=4, failed=1, first_failure_case"
+            "=3, first_failure_detail='detail')"
+        ),
+        (
+            "SuiteReport(suite='algebra', seed=1, cases=5, passed=5, failed=0, first_failure_case"
+            "=None, first_failure_detail=None)"
+        ),
+        4036118832516516704,
+    ),
+}
+
+
+def records() -> dict:
+    """Each case's repr, repr of the changed twin and hash, as recorded."""
+    out = {}
+    for name, (make, changed) in CASES.items():
+        x = make()
+        try:
+            h = hash(x) if not isinstance(x, Term) else hash(x) == hash(make())
+        except TypeError as exc:
+            h = f"TypeError: {exc}"
+        out[name] = [repr(x), repr(changed()), h]
+    return out
+
+
+def test_every_value_class_has_a_case():
+    assert len(CASES) == len(RECORDED) == 20
+    assert [type(make()).__name__ for make, _ in CASES.values()] == list(CASES)
+
+
+def test_reprs_and_hashes_are_as_recorded():
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": str(here.parent / "src")}
+    code = "import json, test_records; print(json.dumps(test_records.records()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=here, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: list(r) for name, r in RECORDED.items()}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_equality_goes_by_the_fields_within_one_class(name):
+    make, changed = CASES[name]
+    x = make()
+    assert x == make() and not x != make()
+    assert x != changed() and not x == changed()
+    # a Term compares by its post-order and answers False, not NotImplemented
+    assert (x.__eq__(object()) is NotImplemented) == (name != "Term")
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_copies_and_pickles_equal_the_original(name):
+    x = CASES[name][0]()
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is type(x) and twin == x and repr(twin) == repr(x)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_fields_cannot_be_assigned_or_deleted(name):
+    x = CASES[name][0]()
+    field = x.__slots__[0]
+    value = getattr(x, field)
+    with pytest.raises(AttributeError):
+        setattr(x, field, value)
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    assert getattr(x, field) is value
+
+
+def test_defaults_fill_the_fields_left_out():
+    assert space().caps == {} and space().caps is not space().caps
+    assert SuiteReport("algebra", 1, 5, 5, 0).first_failure_detail is None
+    assert SeparationReport(True) == SeparationReport(True, (), None)
+    assert SuiteReport(suite="a", seed=1, cases=2, passed=2, failed=0) == SuiteReport("a", 1, 2, 2, 0)
+    with pytest.raises(TypeError):
+        SuiteReport("algebra", 1)
+    with pytest.raises(TypeError):
+        SeparationReport(True, hausdorff=False)
+
+
+def test_every_exported_name_resolves():
+    assert "product" in mvtop.__all__ and "FuzzyPoint" in mvtop.__all__
+    for name in mvtop.__all__:
+        assert getattr(mvtop, name) is not None
+    assert set(mvtop.__all__) <= set(dir(mvtop))
+    with pytest.raises(AttributeError):
+        mvtop.no_such_name
+
+
+def test_product_stays_the_function_after_its_module_is_imported():
+    import mvtop.product  # noqa: F401 - binds the submodule attribute, as an import does
+
+    from mvtop import product
+
+    assert callable(product) and product.__module__ == "mvtop.product"
+    assert product is sys.modules["mvtop.product"].product is mvtop.product
+
+
+def test_fuzzy_set_keeps_its_traced_methods_in_its_own_class():
+    # the benchmark's tracer wraps these, by name, in the class dict
+    ops = ("oplus", "odot", "meet", "join", "complement", "scaled", "leq")
+    assert {"__post_init__", *ops} <= set(FuzzySet.__dict__)
