@@ -12,29 +12,17 @@ Output is canonical, so a rerun on identical input produces byte-identical
 bytes.
 
 Every command runs in a fresh process, where importing the package can cost
-more than the computation, so a command imports what only it runs (the
-solvers, maps, products, metrics, suites and oracles) inside its function;
-at module level the CLI loads the documents and the topology core that
-nearly every command needs.
+more than the computation, so a command imports what only it runs inside its
+function: the solvers, maps, products, metrics and suites, and `documents`
+(with `json`), which the helpers that read or write a document import; `verify`
+reads and writes none.  At module level the CLI loads only the topology core.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .documents import (
-    SpaceDocument,
-    dumps_canonical,
-    loads_document,
-    parse_family_document,
-    parse_map_document,
-    parse_metric_document,
-    parse_space_document,
-    read_document,
-    space_document_to_obj,
-)
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .topology import (
     DEFAULT_MAX_OPENS,
@@ -50,6 +38,8 @@ from .topology import (
 
 
 def _load(path: str) -> object:
+    from .documents import loads_document, read_document
+
     if path != "-":
         return read_document(path, repr(path))
     try:
@@ -60,6 +50,8 @@ def _load(path: str) -> object:
 
 
 def _space_document(path: str) -> SpaceDocument:
+    from .documents import parse_space_document
+
     return parse_space_document(_load(path))
 
 
@@ -115,6 +107,8 @@ def _verdict(witness, render) -> dict:
 
 def _space_report(space, kind: str, family, name: str | None, caps: dict[str, int]) -> dict:
     """The family as a space document of the kind, on the chain and carrier of the space."""
+    from .documents import SpaceDocument, space_document_to_obj
+
     doc = SpaceDocument(space.chain, space.carrier, kind, family, name, caps)
     return space_document_to_obj(doc)
 
@@ -234,6 +228,7 @@ def _cmd_product(args) -> dict:
 
 def _cmd_mincover(args) -> dict:
     from .covers import minimal_additive_cover_search
+    from .documents import parse_family_document
 
     doc = parse_family_document(_load(args.input))
     certificate = minimal_additive_cover_search(doc.family, max_nodes=_max_nodes(args)).certificate
@@ -250,6 +245,7 @@ def _cmd_mincover(args) -> dict:
 
 def _cmd_subcover(args) -> dict:
     from .covers import minimal_subcover_search
+    from .documents import parse_family_document
 
     doc = parse_family_document(_load(args.input))
     subcover = minimal_subcover_search(doc.family, max_nodes=_max_nodes(args)).subcover
@@ -262,6 +258,7 @@ def _cmd_subcover(args) -> dict:
 
 
 def _cmd_metric(args) -> dict:
+    from .documents import parse_metric_document
     from .metric import metric_ball_family, metric_induced
 
     subbase_only = _subbase_only(args)
@@ -275,6 +272,9 @@ def _cmd_metric(args) -> dict:
 
 
 def _cmd_continuity(args) -> dict:
+    from pathlib import Path
+
+    from .documents import parse_map_document
     from .maps import continuity_counterexample
 
     doc = parse_map_document(_load(args.input), base_dir=Path(args.input).parent)
@@ -379,6 +379,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if isinstance(report, dict):
+        from .documents import dumps_canonical
+
         sys.stdout.write(dumps_canonical(report))
         return 0 if report.get("verdict", True) and report.get("feasible", True) else 1
     from . import suites  # only verify, which has loaded it, returns a suite report

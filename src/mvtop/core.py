@@ -4,10 +4,13 @@ The value scale is the chain 0, 1/n, ..., 1, stored as the integers 0..n so that
 every operation stays exact and every predicate is decidable.  Fuzzy sets,
 families, and point maps are immutable; all operations are pure.
 
-`FuzzySet` is the boundary: it validates every value it is built from, and its
-operations check their operands.  `Lanes` is the compute representation for
-hot scans: a whole value vector packed into one int, with lane-wise operations
-that trust their operands because they only ever see validated values.
+`FuzzySet` is the boundary: its constructor validates every value it is
+given, so each value is checked once, where it enters.  A result computed from
+sets already checked (an operation, a complement, a multiple, a preimage, a
+vector unpacked from lanes) is valid by construction and is built by
+`FuzzySet._trusted`, which checks nothing.  `Lanes` is the compute
+representation for hot scans: a whole value vector packed into one int, with
+lane-wise operations that trust their operands for the same reason.
 
 The value classes are `Record`s: plain `__slots__` classes whose constructor,
 equality, hash, repr and immutability are written once, in `Record`, so that
@@ -18,11 +21,10 @@ its computation does.  The classes built in hot loops spell out their own
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
-
 from .errors import InputError
 
 _set = object.__setattr__  # how a Record writes its own fields
+_new = object.__new__  # how a trusted constructor makes an instance without __init__
 
 
 class Record:
@@ -214,12 +216,21 @@ class FuzzySet(Record):
         return hash((self.carrier, self.chain, self.values))
 
     def __post_init__(self):
-        if len(self.values) != self.carrier.size:
-            raise InputError(
-                f"expected {self.carrier.size} values, got {len(self.values)}"
-            )
-        for v in self.values:
-            self.chain.check(v)
+        values, n = self.values, self.chain.n
+        if len(values) != self.carrier.size:
+            raise InputError(f"expected {self.carrier.size} values, got {len(values)}")
+        for v in values:
+            if type(v) is not int or not 0 <= v <= n:
+                self.chain.check(v)  # raises, unless v is an int subclass in range
+
+    @classmethod
+    def _trusted(cls, carrier: Carrier, chain: Chain, values: tuple[int, ...]) -> FuzzySet:
+        """A set whose values are valid by construction: nothing is checked."""
+        s = _new(cls)
+        _set(s, "carrier", carrier)
+        _set(s, "chain", chain)
+        _set(s, "values", values)
+        return s
 
     # -- constructors ------------------------------------------------------
 
@@ -238,17 +249,15 @@ class FuzzySet(Record):
 
     # -- pointwise operations ----------------------------------------------
 
-    def _same_space(self, other: "FuzzySet") -> None:
+    def _same_space(self, other: FuzzySet) -> None:
+        if other.carrier is self.carrier and other.chain is self.chain:
+            return
         if self.carrier != other.carrier or self.chain != other.chain:
             raise InputError("fuzzy sets live on different carriers or chains")
 
-    def _zip(self, other: "FuzzySet", op: Callable[[int, int], int]) -> "FuzzySet":
+    def _zip(self, other: FuzzySet, op: Callable[[int, int], int]) -> FuzzySet:
         self._same_space(other)
-        return FuzzySet(
-            self.carrier,
-            self.chain,
-            tuple(op(a, b) for a, b in zip(self.values, other.values)),
-        )
+        return FuzzySet._trusted(self.carrier, self.chain, tuple(map(op, self.values, other.values)))
 
     def oplus(self, other: "FuzzySet") -> "FuzzySet":
         return self._zip(other, self.chain.add)
@@ -264,15 +273,14 @@ class FuzzySet(Record):
 
     def complement(self) -> "FuzzySet":
         n = self.chain.n
-        return FuzzySet(self.carrier, self.chain, tuple(n - v for v in self.values))
+        return FuzzySet._trusted(self.carrier, self.chain, tuple(n - v for v in self.values))
 
     def scaled(self, k: int) -> "FuzzySet":
         """Scalar multiple: k-fold truncated sum of the set with itself."""
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise InputError(f"scalar multiplicity must be an integer >= 0, got {k!r}")
-        return FuzzySet(
-            self.carrier, self.chain, tuple(self.chain.scaled(k, v) for v in self.values)
-        )
+        scale = self.chain.scaled
+        return FuzzySet._trusted(self.carrier, self.chain, tuple(scale(k, v) for v in self.values))
 
     # -- predicates and views ------------------------------------------------
 
@@ -427,12 +435,24 @@ class FuzzyFamily(Record):
 
     def __init__(self, carrier: Carrier, chain: Chain, members: tuple[FuzzySet, ...] = ()):
         for m in members:
-            if m.carrier != carrier or m.chain != chain:
-                raise InputError("family member lives on a different carrier or chain")
+            if m.carrier is not carrier or m.chain is not chain:
+                if m.carrier != carrier or m.chain != chain:
+                    raise InputError("family member lives on a different carrier or chain")
         by_values = {m.values: m for m in members}
+        self._fill(carrier, chain, tuple(by_values[v] for v in sorted(by_values)), by_values)
+
+    @classmethod
+    def _canonical(cls, carrier: Carrier, chain: Chain, members: tuple[FuzzySet, ...]) -> FuzzyFamily:
+        """The family of members that are distinct, on this carrier and chain, and
+        in canonical order already: nothing is checked or sorted."""
+        family = _new(cls)
+        family._fill(carrier, chain, members, {m.values: m for m in members})
+        return family
+
+    def _fill(self, carrier: Carrier, chain: Chain, members: tuple, by_values: dict) -> None:
         _set(self, "carrier", carrier)
         _set(self, "chain", chain)
-        _set(self, "members", tuple(by_values[v] for v in sorted(by_values)))
+        _set(self, "members", members)
         _set(self, "_by_values", by_values)
 
     def _astuple(self) -> tuple:
@@ -486,9 +506,9 @@ def mv_preimage(f: PointMap, alpha: FuzzySet) -> FuzzySet:
     This is an MV-algebra homomorphism: it preserves the constants and all of
     the pointwise operations, including joins and meets of whole families.
     """
-    if alpha.carrier != f.codomain:
+    if alpha.carrier is not f.codomain and alpha.carrier != f.codomain:
         raise InputError("the set to pull back must live on the map's codomain")
-    return FuzzySet(f.domain, alpha.chain, tuple(alpha.values[i] for i in f.images))
+    return FuzzySet._trusted(f.domain, alpha.chain, tuple(map(alpha.values.__getitem__, f.images)))
 
 
 def forward_image(f: PointMap, alpha: FuzzySet) -> FuzzySet:

@@ -8,14 +8,8 @@ multiplicity vectors in 0..n and is the key solver decision.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
-
 from .core import FuzzyFamily, FuzzySet, Record, _set, is_ideal, mv_preimage
 from .errors import InputError, PreconditionError, ResourceLimitError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports, avoids an import cycle
-    from .product import ProductSpace
-    from .topology import Topology
 
 DEFAULT_MAX_NODES = 1_000_000
 

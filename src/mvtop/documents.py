@@ -13,20 +13,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap, Record, _set
 from .errors import InputError
 
-if TYPE_CHECKING:  # pragma: no cover - metric documents load `metric` when parsed
-    from fractions import Fraction
-
-    from .metric import FuzzyPoint, MetricInstance
-
 _CAP_KEYS = {"max_opens"}
 
 
-def _require_int(value: Any, what: str) -> int:
+def _require_int(value: object, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
@@ -57,7 +51,7 @@ def _parse_name(obj: dict) -> str | None:
     return name
 
 
-def _parse_vectors(raw: Any, carrier: Carrier, chain: Chain, what: str) -> FuzzyFamily:
+def _parse_vectors(raw: object, carrier: Carrier, chain: Chain, what: str) -> FuzzyFamily:
     if not isinstance(raw, list):
         raise InputError(f"{what} must be a list of value vectors")
     members = []
@@ -68,7 +62,7 @@ def _parse_vectors(raw: Any, carrier: Carrier, chain: Chain, what: str) -> Fuzzy
     return FuzzyFamily.of(carrier, chain, members)
 
 
-def _parse_caps(raw: Any) -> dict[str, int]:
+def _parse_caps(raw: object) -> dict[str, int]:
     if not isinstance(raw, dict):
         raise InputError("caps must be an object")
     unknown = set(raw) - _CAP_KEYS
@@ -82,7 +76,7 @@ def _parse_caps(raw: Any) -> dict[str, int]:
     return caps
 
 
-def parse_rational(value: Any, what: str) -> Fraction:
+def parse_rational(value: object, what: str) -> Fraction:
     from fractions import Fraction
 
     if isinstance(value, bool):
@@ -121,7 +115,7 @@ class SpaceDocument(Record):
             _set(self, "caps", {})
 
 
-def parse_space_document(obj: Any) -> SpaceDocument:
+def parse_space_document(obj: object) -> SpaceDocument:
     if not isinstance(obj, dict):
         raise InputError("a space document must be a JSON object")
     _require_keys(obj, {"chain", "points"}, {"subbase", "opens", "name", "caps"}, "space document")
@@ -137,7 +131,7 @@ def parse_space_document(obj: Any) -> SpaceDocument:
 
 
 def space_document_to_obj(doc: SpaceDocument) -> dict:
-    out: dict[str, Any] = {}
+    out: dict[str, object] = {}
     if doc.name is not None:
         out["name"] = doc.name
     out["chain"] = doc.chain.n
@@ -148,7 +142,7 @@ def space_document_to_obj(doc: SpaceDocument) -> dict:
     return out
 
 
-def parse_family_document(obj: Any) -> SpaceDocument:
+def parse_family_document(obj: object) -> SpaceDocument:
     if not isinstance(obj, dict):
         raise InputError("a family document must be a JSON object")
     _require_keys(obj, {"chain", "points", "family"}, {"name"}, "family document")
@@ -168,12 +162,12 @@ class MapDocument(Record):
     name: str | None
 
 
-def parse_map_document(obj: Any, *, base_dir: Path | None = None) -> MapDocument:
+def parse_map_document(obj: object, *, base_dir: Path | None = None) -> MapDocument:
     if not isinstance(obj, dict):
         raise InputError("a map document must be a JSON object")
     _require_keys(obj, {"domain", "codomain", "map"}, {"name"}, "map document")
 
-    def resolve(value: Any, what: str) -> SpaceDocument:
+    def resolve(value: object, what: str) -> SpaceDocument:
         if isinstance(value, str):
             path = Path(value)
             if not path.is_absolute() and base_dir is not None:
@@ -191,7 +185,7 @@ def parse_map_document(obj: Any, *, base_dir: Path | None = None) -> MapDocument
 
 
 def map_document_to_obj(doc: MapDocument) -> dict:
-    out: dict[str, Any] = {}
+    out: dict[str, object] = {}
     if doc.name is not None:
         out["name"] = doc.name
     out["domain"] = space_document_to_obj(doc.domain)
@@ -211,7 +205,7 @@ class MetricDocument(Record):
     name: str | None
 
 
-def parse_metric_document(obj: Any) -> MetricDocument:
+def parse_metric_document(obj: object) -> MetricDocument:
     from .metric import FuzzyPoint, MetricInstance
 
     if not isinstance(obj, dict):
@@ -249,7 +243,7 @@ def parse_metric_document(obj: Any) -> MetricDocument:
 
 
 def metric_document_to_obj(doc: MetricDocument) -> dict:
-    out: dict[str, Any] = {}
+    out: dict[str, object] = {}
     if doc.name is not None:
         out["name"] = doc.name
     out["chain"] = doc.metric.chain.n
@@ -268,7 +262,7 @@ def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
 
-def loads_document(text: str, what: str) -> Any:
+def loads_document(text: str, what: str) -> object:
     """Decode JSON text; every failure, the digit limit too, is an input error."""
     try:
         return json.loads(text)
@@ -280,7 +274,7 @@ def loads_document(text: str, what: str) -> Any:
         raise InputError(f"{what} has an integer literal with too many digits") from None
 
 
-def read_document(path: str | Path, what: str) -> Any:
+def read_document(path: str | Path, what: str) -> object:
     """Read and decode one UTF-8 JSON file; every failure is an input error."""
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -3,18 +3,16 @@
 Every builder takes an explicit random.Random, so a (seed, case index) pair
 reproduces an instance exactly.  Builders that need an instance from a
 restricted class resample up to a bounded number of attempts and then fall
-back to a deterministic member of the class, keeping suite runs total.
+back to a deterministic member of the class, keeping suite runs total.  The
+builders of products and terms import `product` and `covers` when called.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap
-from .covers import Term
 from .errors import ResourceLimitError
-from .product import ProductSpace, product
 from .topology import (
     Topology,
     crisp_discrete,
@@ -187,6 +185,8 @@ def random_compact_pair(rng: random.Random) -> ProductSpace:
     """A product of two factors of at most 2 points and 6 opens, over a chain
     with n <= 2, whose materialized product has at most PAIR_PRODUCT_OPENS
     opens, small enough for the brute-force oracle."""
+    from .product import product
+
     for _ in range(200):
         chain = random_chain(rng, 2)
         factors = []
@@ -240,6 +240,8 @@ def random_subbasic_noncover(
 
 
 def random_term(rng: random.Random, arity: int, max_depth: int) -> Term:
+    from .covers import Term
+
     if max_depth <= 0 or rng.random() < 0.3:
         return Term.var(rng.randrange(arity))
     builder = rng.choice((Term.oplus, Term.odot, Term.meet))

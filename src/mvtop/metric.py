@@ -8,7 +8,6 @@ stops `metric_induced` as soon as the distinct balls exceed it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record
 from .errors import InputError

@@ -10,10 +10,8 @@ back the verification suites, the CLI oracle mode, and the test suite.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
 
 from .core import FuzzyFamily, FuzzySet, Record
-from .covers import CoverCertificate
 from .errors import ResourceLimitError
 from .topology import SeparationReport, Topology
 
@@ -132,6 +130,8 @@ def exhaustive_certificate_for_cover(
     members: list[FuzzySet], chain
 ) -> CoverCertificate | None:
     """First certificate by increasing total multiplicity, entries capped at n."""
+    from .covers import CoverCertificate
+
     if not members:
         return None
     n = chain.n

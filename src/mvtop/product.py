@@ -9,7 +9,6 @@ lazily because the opens count grows multiplicatively.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 from .core import Carrier, FuzzyFamily, PointMap, Record, mv_preimage
 from .errors import InputError, PreconditionError

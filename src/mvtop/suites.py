@@ -3,16 +3,15 @@
 Each suite runs independent cases derived from (seed, case index), so a rerun
 with the same parameters reproduces the same report byte for byte.  A case
 returns None on success or a failure description; the runner keeps the first
-failure, shrunk where the case function knows how.
+failure, shrunk where the case function knows how.  A `verify` run loads only
+its suite's code: each case imports the solvers, maps and oracles it uses.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record, is_filter, is_ideal, mv_preimage
-from .covers import is_additive_cover, product_subbasic_subcover
 from .errors import PreconditionError
 from .generators import (
     PAIR_PRODUCT_OPENS,
@@ -32,9 +31,6 @@ from .generators import (
     random_topology,
     random_zero_dimensional_topology,
 )
-from .maps import is_continuous, is_continuous_via_base, is_open_map
-from .oracles import brute_force_compactness, naive_generate_opens
-from .product import product
 from .topology import (
     Topology,
     base_from_subbase,
@@ -141,6 +137,8 @@ def _case_algebra(rng: random.Random) -> str | None:
 
 
 def _case_generation(rng: random.Random) -> str | None:
+    from .oracles import naive_generate_opens
+
     chain = random_chain(rng, 2)
     carrier = random_carrier(rng, 3)
     subbase = random_family(rng, carrier, chain, 3)
@@ -192,6 +190,8 @@ def _case_generation(rng: random.Random) -> str | None:
 
 
 def _case_continuity(rng: random.Random) -> str | None:
+    from .maps import is_continuous, is_continuous_via_base, is_open_map
+
     chain = random_chain(rng, 2)
     dom_carrier = random_carrier(rng, 3)
     cod_carrier = random_carrier(rng, 3)
@@ -247,6 +247,9 @@ def _single_factor_form(space, result) -> bool:
 
 
 def _case_tychonoff(rng: random.Random) -> str | None:
+    from .covers import is_additive_cover, product_subbasic_subcover
+    from .oracles import brute_force_compactness
+
     space = random_compact_pair(rng)
     described = [
         f"factor {i}: n={f.chain.n}, points={f.carrier.points}, opens={_vectors(f.opens)}"
@@ -271,6 +274,8 @@ def _case_tychonoff(rng: random.Random) -> str | None:
 
 
 def _case_hausdorff_product(rng: random.Random) -> str | None:
+    from .product import product
+
     chain = random_chain(rng, 2)
     factors = [
         random_hausdorff_topology(rng, random_carrier(rng, 2), chain) for _ in range(2)
@@ -310,6 +315,8 @@ def _product_preserves(
     what: str,
 ) -> str | None:
     """Draw two factors with the property and check it on their product."""
+    from .product import product
+
     chain = random_chain(rng, 2)
     factors = [draw(rng, random_carrier(rng, 2), chain) for _ in range(2)]
     if not holds(product(factors).topology()):
@@ -393,6 +400,9 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
 
 
 def _case_lemma1(rng: random.Random) -> str | None:
+    from .covers import is_additive_cover, product_subbasic_subcover
+    from .product import product
+
     chain = random_chain(rng, 2)
     factors = [
         random_topology(rng, random_carrier(rng, 2), chain, max_subbase=2, max_opens=6)

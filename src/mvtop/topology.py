@@ -8,13 +8,11 @@ and meet distribute over join, and every member is a join of them.
 
 The hot scans (closure, the topology, base and Hausdorff checks) pack their
 fuzzy sets into `core.Lanes` ints once, compute on those, and turn results back
-into `FuzzySet`s only at the end; their inputs were validated when they were
-built.
+into `FuzzySet`s only at the end.  Their inputs were validated when they were
+built, so those results are valid by construction and are not checked again.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Lanes, Record, _set
 from .errors import InputError, ResourceLimitError
@@ -68,6 +66,15 @@ def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
     return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
 
 
+def _family(carrier: Carrier, chain: Chain, lanes: Lanes, packed: list[int]) -> FuzzyFamily:
+    """The family of the distinct packed vectors; int order is canonical order."""
+    return FuzzyFamily._canonical(
+        carrier,
+        chain,
+        tuple([FuzzySet._trusted(carrier, chain, lanes.unpack(z)) for z in sorted(packed)]),
+    )
+
+
 def _extend(queue: list[int], seen: set[int], new: Iterable[int], cap: int, what: str) -> None:
     """Append the values of new not yet seen; the one that takes a closure past
     its cap raises, so a cap error always reads one past the cap."""
@@ -96,9 +103,7 @@ def base_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS
         for y in queue[: i + 1]:
             results = (lanes.oplus(x, y), lanes.odot(x, y), lanes.meet(x, y))
             _extend(queue, seen, results, max_size, "base")
-    return FuzzyFamily.of(
-        carrier, chain, (FuzzySet(carrier, chain, lanes.unpack(z)) for z in queue)
-    )
+    return _family(carrier, chain, lanes, queue)
 
 
 def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS) -> Topology:
@@ -121,8 +126,7 @@ def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_O
         if b not in seen:
             # a list, not a generator: the joins are taken with the opens so far
             _extend(opens, seen, [lanes.join(t, b) for t in opens], max_size, "topology")
-    members = (FuzzySet(carrier, chain, lanes.unpack(z)) for z in opens)
-    return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
+    return Topology(carrier, chain, _family(carrier, chain, lanes, opens))
 
 
 def topology_violation(family: FuzzyFamily) -> str | None:
@@ -279,7 +283,7 @@ def check_hausdorff(topology: Topology) -> SeparationReport:
         for i, v in enumerate(o.values):
             if v == chain.n:
                 least[i] = lanes.meet(least[i], x)
-    sets = [FuzzySet(carrier, chain, lanes.unpack(u)) for u in least]
+    sets = [FuzzySet._trusted(carrier, chain, lanes.unpack(u)) for u in least]
     witnesses = []
     for x in range(carrier.size):
         for y in range(x + 1, carrier.size):

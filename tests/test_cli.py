@@ -178,6 +178,25 @@ def test_check_topology_detects_violations():
     assert "witness" in json.loads(out)
 
 
+# 0, 1, [1, 1, 2] and [1, 2, 1] closed under oplus, odot and join: every closure
+# condition holds but the meet's, so only the meet test can reject the family
+NO_MEET = [
+    [0, 0, 0], [0, 0, 1], [0, 0, 2], [0, 1, 0], [0, 1, 1], [0, 1, 2], [0, 2, 0],
+    [0, 2, 1], [0, 2, 2], [1, 1, 2], [1, 2, 1], [1, 2, 2], [2, 2, 2],
+]
+
+
+def test_check_topology_rejects_a_family_closed_under_everything_but_meet():
+    space = {"chain": 2, "points": ["a", "b", "c"], "opens": NO_MEET}
+    code, out, err = run_cli(["check", "topology", "-"], doc(space))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "check": "topology",
+        "verdict": False,
+        "witness": "not closed under meet: [1, 1, 2] with [1, 2, 1] gives [1, 1, 1]",
+    }
+
+
 def test_check_zerodim_reports_first_open_not_joined_by_clopens():
     space = {"chain": 2, "points": ["a", "b"], "opens": [[0, 0], [0, 2], [2, 2]]}
     code, out, _ = run_cli(["check", "zerodim", "-"], doc(space))
@@ -571,7 +590,7 @@ except SystemExit as exc:
     code = exc.code
 print()
 print(code, *sorted(m for m in sys.modules if m.startswith("mvtop.") or m in WATCHED))
-""".replace("WATCHED", repr({"dataclasses", "inspect", "fractions"}))
+""".replace("WATCHED", repr({"dataclasses", "inspect", "fractions", "json", "typing"}))
 
 LOAD_FILES = {
     "space.json": DISCRETE,
@@ -580,41 +599,52 @@ LOAD_FILES = {
     "map.json": {"domain": "space.json", "codomain": INDISCRETE, "map": [0, 0]},
 }
 
+DOCUMENTS = {"mvtop.documents", "json"}
 SOLVERS = {"mvtop.covers"}
-VERIFICATION = {"mvtop.suites", "mvtop.generators", "mvtop.oracles"}
+SUITE = {"mvtop.suites", "mvtop.generators"}
 
 # argv -> the watched modules it needs, beyond those every command loads
 LOADS = {
-    ("gen", "space.json"): set(),
-    ("check", "topology", "space.json"): set(),
-    ("check", "compact", "space.json"): SOLVERS,
-    ("check", "strong-compact", "space.json"): SOLVERS,
-    ("check", "compact", "--oracle", "space.json"): SOLVERS | {"mvtop.oracles"},
-    ("check", "strong-compact", "--oracle", "space.json"): SOLVERS | {"mvtop.oracles"},
-    ("check", "hausdorff", "space.json"): set(),
-    ("check", "zerodim", "space.json"): set(),
-    ("check", "stone", "space.json"): SOLVERS,
-    ("check", "large-subbase", "space.json"): set(),
-    ("product", "space.json", "space.json"): set(),
-    ("product", "--subbase-only", "space.json"): set(),
-    ("mincover", "family.json"): SOLVERS,
-    ("subcover", "family.json"): SOLVERS,
-    ("metric", "metric.json"): {"mvtop.metric", "fractions"},
-    ("metric", "--subbase-only", "metric.json"): {"mvtop.metric", "fractions"},
-    ("continuity", "map.json"): {"mvtop.maps"},
-    ("verify", "algebra", "--cases", "2"): SOLVERS | VERIFICATION | {"mvtop.maps"},
+    ("gen", "space.json"): DOCUMENTS,
+    ("check", "topology", "space.json"): DOCUMENTS,
+    ("check", "compact", "space.json"): DOCUMENTS | SOLVERS,
+    ("check", "strong-compact", "space.json"): DOCUMENTS | SOLVERS,
+    ("check", "compact", "--oracle", "space.json"): DOCUMENTS | SOLVERS | {"mvtop.oracles"},
+    ("check", "strong-compact", "--oracle", "space.json"): DOCUMENTS | SOLVERS | {"mvtop.oracles"},
+    ("check", "hausdorff", "space.json"): DOCUMENTS,
+    ("check", "zerodim", "space.json"): DOCUMENTS,
+    ("check", "stone", "space.json"): DOCUMENTS | SOLVERS,
+    ("check", "large-subbase", "space.json"): DOCUMENTS,
+    ("product", "space.json", "space.json"): DOCUMENTS,
+    ("product", "--subbase-only", "space.json"): DOCUMENTS,
+    ("mincover", "family.json"): DOCUMENTS | SOLVERS,
+    ("subcover", "family.json"): DOCUMENTS | SOLVERS,
+    ("metric", "metric.json"): DOCUMENTS | {"mvtop.metric", "fractions"},
+    ("metric", "--subbase-only", "metric.json"): DOCUMENTS | {"mvtop.metric", "fractions"},
+    ("continuity", "map.json"): DOCUMENTS | {"mvtop.maps"},
+    # verify reads and writes no document; each suite loads the code its cases run
+    ("verify", "algebra", "--cases", "1"): SUITE,
+    ("verify", "generation", "--cases", "1"): SUITE | {"mvtop.oracles"},
+    ("verify", "continuity", "--cases", "1"): SUITE | {"mvtop.maps"},
+    ("verify", "tychonoff", "--cases", "1"): SUITE | SOLVERS | {"mvtop.oracles"},
+    ("verify", "hausdorff-product", "--cases", "1"): SUITE,
+    ("verify", "zerodim-product", "--cases", "1"): SUITE,
+    ("verify", "stone-product", "--cases", "1"): SUITE | SOLVERS,
+    ("verify", "alexander-claims", "--cases", "1"): SUITE,
+    ("verify", "lemma1", "--cases", "1"): SUITE | SOLVERS,
 }
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # every request is a fresh process, so what a command imports is part of its cost
     assert {" ".join(argv[: 2 if argv[0] == "check" else 1]) for argv in LOADS} == set(COMMANDS)
+    assert {argv[1] for argv in LOADS if argv[0] == "verify"} == set(SUITES)
     for name, obj in LOAD_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     # runpy runs mvtop.cli as __main__; the package binds product at once
-    common = {"mvtop.core", "mvtop.documents", "mvtop.errors", "mvtop.product", "mvtop.topology"}
+    common = {"mvtop.core", "mvtop.errors", "mvtop.product", "mvtop.topology"}
     for argv, needed in LOADS.items():
         proc = subprocess.run(
             [sys.executable, "-S", "-c", LOAD_PROBE, *argv],
@@ -623,6 +653,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         code, *loaded = proc.stdout.splitlines()[-1].split()
         assert (code, proc.stderr) in {("0", ""), ("1", "")}, argv
         assert set(loaded) == common | needed, argv
+        if argv[0] == "verify":
+            assert not DOCUMENTS & set(loaded), argv
     mentions = [p.name for p in Path(src, "mvtop").glob("*.py") if "dataclass" in p.read_text()]
     assert mentions == []
 

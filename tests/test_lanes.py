@@ -142,21 +142,43 @@ def assert_violation_matches_reference(family):
     return False
 
 
+def closed_without_meet(carrier, chain, generators):
+    """0, 1 and the generators, closed under oplus, odot and join but not meet:
+    a family that meets every closure condition except, maybe, the meet's."""
+    members = {FuzzySet.zero(carrier, chain), FuzzySet.one(carrier, chain), *generators}
+    todo = list(members)
+    while todo:
+        a = todo.pop()
+        for b in list(members):
+            for c in (a.oplus(b), a.odot(b), a.join(b)):
+                if c not in members:
+                    members.add(c)
+                    todo.append(c)
+    return FuzzyFamily.of(carrier, chain, members)
+
+
 def altered(rng, topology, mode):
-    """The opens as generated, with 1-3 members dropped, or with 1-2 random members added."""
+    """The opens as generated, with 1-3 members dropped, or with 1-2 random members
+    added; or two random sets with no zero value, such as [1, 1, 2] and [1, 2, 1],
+    closed under every operation but meet."""
+    carrier, chain = topology.carrier, topology.chain
     members = list(topology.opens.members)
+
+    def random_sets(count, low=0):
+        draws = (tuple(rng.randint(low, chain.n) for _ in carrier.points) for _ in range(count))
+        return [FuzzySet(carrier, chain, values) for values in draws]
+
+    if mode == "no-meet":
+        return closed_without_meet(carrier, chain, random_sets(2, low=1))
     if mode == "dropped":
         for _ in range(rng.randint(1, min(3, len(members)))):
             members.pop(rng.randrange(len(members)))
     elif mode == "added":
-        carrier, chain = topology.carrier, topology.chain
-        for _ in range(rng.randint(1, 2)):
-            values = tuple(rng.randint(0, chain.n) for _ in range(carrier.size))
-            members.append(FuzzySet(carrier, chain, values))
-    return FuzzyFamily.of(topology.carrier, topology.chain, members)
+        members += random_sets(rng.randint(1, 2))
+    return FuzzyFamily.of(carrier, chain, members)
 
 
-MODES = ("valid", "dropped", "added")
+MODES = ("valid", "dropped", "added", "no-meet")
 
 
 def test_violation_on_broken_families_matches_reference_scan():
@@ -164,7 +186,8 @@ def test_violation_on_broken_families_matches_reference_scan():
     for rng, topology in random_topologies(11, 150):
         for mode in MODES:
             verdicts[mode].add(assert_violation_matches_reference(altered(rng, topology, mode)))
-    assert verdicts == {"valid": {True}, "dropped": {True, False}, "added": {True, False}}
+    both = {True, False}
+    assert verdicts == {"valid": {True}, "dropped": both, "added": both, "no-meet": both}
 
 
 @given(st.data())

@@ -1,0 +1,141 @@
+"""Values are checked once, where they enter; results computed from them are not.
+
+The fuzzy-set operations, complements, multiples, preimages and the sets that
+generation and the Hausdorff check unpack from lanes are built without
+validation.  These gates re-validate each such result, so a defect that yields
+an out-of-range value is still caught, and the constructor that validates keeps
+its messages.
+"""
+
+import random
+
+import pytest
+
+from mvtop import (
+    Carrier,
+    Chain,
+    FuzzyFamily,
+    FuzzySet,
+    InputError,
+    PointMap,
+    base_from_subbase,
+    check_hausdorff,
+    generate_from_subbase,
+    mv_preimage,
+)
+
+
+def random_set(rng, carrier, chain):
+    return FuzzySet(carrier, chain, tuple(rng.randint(0, chain.n) for _ in carrier.points))
+
+
+def unchecked_results(rng):
+    """Every kind of result built without validation, on one random space."""
+    chain = Chain(rng.randint(1, 5))
+    carrier = Carrier(tuple("abcd"[: rng.randint(1, 4)]))
+    a, b = random_set(rng, carrier, chain), random_set(rng, carrier, chain)
+    for op in (FuzzySet.oplus, FuzzySet.odot, FuzzySet.meet, FuzzySet.join):
+        yield op(a, b)
+    yield a.complement()
+    yield a.scaled(rng.randint(0, 2 * chain.n))
+    domain = Carrier(tuple("pqrst"[: rng.randint(1, 5)]))
+    f = PointMap(domain, carrier, tuple(rng.randrange(carrier.size) for _ in domain.points))
+    yield mv_preimage(f, a)
+
+
+def lane_families(rng):
+    """Families built from packed lanes, and the Hausdorff witnesses unpacked from them."""
+    chain = Chain(rng.randint(1, 3))
+    carrier = Carrier(tuple("abc"[: rng.randint(1, 3)]))
+    subbase = FuzzyFamily.of(carrier, chain, (random_set(rng, carrier, chain) for _ in range(3)))
+    yield base_from_subbase(subbase)
+    topology = generate_from_subbase(subbase)
+    yield topology.opens
+    witnesses = [s for _, pair in check_hausdorff(topology).witnesses for s in pair]
+    yield FuzzyFamily.of(carrier, chain, witnesses)
+
+
+def revalidates(result) -> bool:
+    try:
+        return FuzzySet(result.carrier, result.chain, result.values) == result
+    except InputError:
+        return False
+
+
+def family_revalidates(family) -> bool:
+    """Each member re-validates, and the family equals the one the checking
+    constructor builds from those members, membership index included."""
+    if not all(revalidates(m) for m in family):
+        return False
+    checked = FuzzyFamily.of(family.carrier, family.chain, family.members)
+    return checked == family and checked._by_values == family._by_values
+
+
+def first_invalid(seed, count):
+    """The first unchecked result or lane family that fails re-validation, or None."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        for result in unchecked_results(rng):
+            if not revalidates(result):
+                return result
+        for family in lane_families(rng):
+            if not family_revalidates(family):
+                return family
+    return None
+
+
+def test_every_unchecked_result_revalidates():
+    assert first_invalid(0, 300) is None
+
+
+def test_revalidation_catches_an_oplus_without_truncation(monkeypatch):
+    monkeypatch.setattr(Chain, "add", lambda self, a, b: a + b)
+    assert first_invalid(0, 300) is not None
+
+
+def test_a_family_from_lanes_equals_the_checked_family():
+    carrier, chain = Carrier(("a", "b")), Chain(2)
+    subbase = FuzzyFamily.of(carrier, chain, [FuzzySet(carrier, chain, (1, 2))])
+    opens = generate_from_subbase(subbase).opens
+    checked = FuzzyFamily.of(carrier, chain, reversed(opens.members))
+    assert [m.values for m in opens] == [(0, 0), (0, 2), (1, 2), (2, 2)]
+    assert (opens, opens._by_values, hash(opens), repr(opens)) == (
+        checked,
+        checked._by_values,
+        hash(checked),
+        repr(checked),
+    )
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((True, 0), "True is not an element of the chain 0..2"),
+        ((0, 1.0), "1.0 is not an element of the chain 0..2"),
+        ((3, 0), "3 is not an element of the chain 0..2"),
+        ((0, -1), "-1 is not an element of the chain 0..2"),
+        ((0, "1"), "'1' is not an element of the chain 0..2"),
+        ((0, 1, 2), "expected 2 values, got 3"),
+        ((), "expected 2 values, got 0"),
+    ],
+)
+def test_the_checking_constructor_keeps_its_messages(values, message):
+    with pytest.raises(InputError) as raised:
+        FuzzySet(Carrier(("a", "b")), Chain(2), values)
+    assert str(raised.value) == message
+
+
+def test_equal_spaces_that_are_distinct_objects_still_combine():
+    a = FuzzySet(Carrier(("a", "b")), Chain(2), (1, 2))
+    b = FuzzySet(Carrier(("a", "b")), Chain(2), (2, 0))
+    assert a.carrier is not b.carrier and a.chain is not b.chain
+    assert a.oplus(b).values == (2, 2)
+    assert FuzzyFamily.of(a.carrier, a.chain, [a, b]).members == (a, b)
+    other = FuzzySet(Carrier(("a", "c")), Chain(2), (2, 0))
+    with pytest.raises(InputError, match="fuzzy sets live on different carriers or chains"):
+        a.oplus(other)
+    with pytest.raises(InputError, match="family member lives on a different carrier or chain"):
+        FuzzyFamily.of(a.carrier, a.chain, [a, other])
+    coarser = FuzzySet(Carrier(("a", "b")), Chain(3), (2, 0))
+    with pytest.raises(InputError, match="fuzzy sets live on different carriers or chains"):
+        a.join(coarser)
