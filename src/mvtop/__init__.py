@@ -17,8 +17,8 @@ _EXPORTS = {
         ("core", "Carrier Chain FuzzyFamily FuzzySet PointMap forward_image is_filter is_ideal mv_preimage"),
         (
             "covers",
-            "CoverCertificate ProductSubcover Term eval_term find_additive_subcover has_additive_subcover"
-            " is_additive_cover is_compact is_cover is_strongly_compact product_subbasic_subcover term_witness",
+            "CoverCertificate ProductSubcover Term eval_term find_additive_subcover is_additive_cover"
+            " product_subbasic_subcover term_witness",
         ),
         ("errors", "InputError MVTopologyError PreconditionError ResourceLimitError"),
         (
@@ -31,8 +31,9 @@ _EXPORTS = {
         (
             "topology",
             "Topology base_from_subbase base_witness check_hausdorff clopens closed_sets crisp_discrete"
-            " generate_from_subbase indiscrete is_base is_hausdorff is_large_subbase is_stone is_subbase"
-            " is_topology is_zero_dimensional large_subbase_witness",
+            " generate_from_subbase has_additive_subcover indiscrete is_base is_compact is_cover is_hausdorff"
+            " is_large_subbase is_stone is_strongly_compact is_subbase is_topology is_zero_dimensional"
+            " large_subbase_witness",
         ),
     )
     for name in names.split()

@@ -31,6 +31,8 @@ from .topology import (
     check_hausdorff,
     clopens,
     generate_from_subbase,
+    is_compact,
+    is_strongly_compact,
     is_zero_dimensional,
     large_subbase_witness,
     topology_violation,
@@ -139,8 +141,6 @@ def _on_topology(check):
 
 
 def _check_compact(topology: Topology, args) -> dict:
-    from .covers import is_compact, is_strongly_compact
-
     strong = args.kind == "strong-compact"
     if not args.oracle:
         verdict = is_strongly_compact(topology) if strong else is_compact(topology)
@@ -175,8 +175,6 @@ def _check_zerodim(topology: Topology, args) -> dict:
 
 
 def _check_stone(topology: Topology, args) -> dict:
-    from .covers import is_compact
-
     compact = is_compact(topology)
     hausdorff = check_hausdorff(topology).hausdorff
     zerodim = is_zero_dimensional(topology)

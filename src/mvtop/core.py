@@ -116,36 +116,45 @@ class Chain(Record):
             raise InputError(f"{a!r} is not an element of the chain 0..{self.n}")
         return a
 
-    def _guard(self, a: int, b: int) -> None:
-        # plain range checks: cheap enough for the pointwise inner loops
-        if not 0 <= a <= self.n or not 0 <= b <= self.n:
-            raise InputError(
-                f"operands must lie in 0..{self.n}, got {a!r} and {b!r}"
-            )
+    # The operations check their operands' range inline, a plain comparison
+    # chain that costs no call in the pointwise inner loops; only a failing
+    # check calls `_out_of_range` for its error.
+
+    def _out_of_range(self, a: int, b: int) -> InputError:
+        return InputError(f"operands must lie in 0..{self.n}, got {a!r} and {b!r}")
 
     def add(self, a: int, b: int) -> int:
         """Truncated sum: min(n, a + b)."""
-        self._guard(a, b)
+        n = self.n
+        if not (0 <= a <= n and 0 <= b <= n):
+            raise self._out_of_range(a, b)
         s = a + b
-        return self.n if s > self.n else s
+        return n if s > n else s
 
     def mul(self, a: int, b: int) -> int:
         """Truncated product: max(0, a + b - n)."""
-        self._guard(a, b)
-        s = a + b - self.n
+        n = self.n
+        if not (0 <= a <= n and 0 <= b <= n):
+            raise self._out_of_range(a, b)
+        s = a + b - n
         return s if s > 0 else 0
 
     def meet(self, a: int, b: int) -> int:
-        self._guard(a, b)
+        n = self.n
+        if not (0 <= a <= n and 0 <= b <= n):
+            raise self._out_of_range(a, b)
         return a if a < b else b
 
     def join(self, a: int, b: int) -> int:
-        self._guard(a, b)
+        n = self.n
+        if not (0 <= a <= n and 0 <= b <= n):
+            raise self._out_of_range(a, b)
         return a if a > b else b
 
     def neg(self, a: int) -> int:
         """Involutive complement n - a."""
-        self._guard(a, 0)
+        if not 0 <= a <= self.n:
+            raise self._out_of_range(a, 0)
         return self.n - a
 
     def scaled(self, k: int, a: int) -> int:
@@ -524,13 +533,14 @@ def forward_image(f: PointMap, alpha: FuzzySet) -> FuzzySet:
 
 
 def _order_and_op_closed(
-    family: FuzzyFamily, step: int, op: Callable[[FuzzySet, FuzzySet], FuzzySet]
+    family: FuzzyFamily, step: int, op: Callable[[Lanes, int, int], int]
 ) -> bool:
     """Nonempty, closed under single-step moves of one value by step (-1 down,
-    +1 up, within 0..n), and closed under the binary op.
+    +1 up, within 0..n), and closed under the binary lane op.
 
     Single-step moves generate the pointwise order, so checking them one
-    coordinate at a time decides full downward (upward) closure.
+    coordinate at a time decides full downward (upward) closure.  The op
+    closure is decided on the members packed into `Lanes` ints.
     """
     if len(family) == 0:
         return False
@@ -541,18 +551,22 @@ def _order_and_op_closed(
                 moved = m.values[:i] + (v + step,) + m.values[i + 1 :]
                 if moved not in present:
                     return False
-    for a in family.members:
-        for b in family.members:
-            if op(a, b).values not in present:
+    lanes = Lanes(family.carrier.size, family.chain.n)
+    packed = [lanes.pack(m.values) for m in family.members]
+    members = set(packed)
+    for i, a in enumerate(packed):
+        # both ops are commutative: each unordered pair once
+        for b in packed[i:]:
+            if op(lanes, a, b) not in members:
                 return False
     return True
 
 
 def is_ideal(family: FuzzyFamily) -> bool:
     """True iff the family is nonempty, downward closed, and closed under oplus."""
-    return _order_and_op_closed(family, -1, FuzzySet.oplus)
+    return _order_and_op_closed(family, -1, Lanes.oplus)
 
 
 def is_filter(family: FuzzyFamily) -> bool:
     """True iff the family is nonempty, upward closed, and closed under odot."""
-    return _order_and_op_closed(family, 1, FuzzySet.odot)
+    return _order_and_op_closed(family, 1, Lanes.odot)

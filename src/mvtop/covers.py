@@ -1,15 +1,25 @@
-"""Covers, additive covers, compactness, exact cover solvers, and term machinery.
+"""Additive covers, exact cover solvers, and term machinery.
 
 Additive covers are finite multisets of fuzzy sets whose truncated sum is the
 unit set.  Over a finite chain a multiplicity beyond the chain resolution n
 never helps (scalar multiples saturate), which bounds every search to
-multiplicity vectors in 0..n and is the key solver decision.
+multiplicity vectors in 0..n and is the key solver decision.  The cover and
+compactness deciders (`is_cover`, `has_additive_subcover`, `is_compact`,
+`is_strongly_compact`) live in `topology`, so that `check` runs them without
+loading the solvers; they are imported here as well.
 """
 
 from __future__ import annotations
 
 from .core import FuzzyFamily, FuzzySet, Record, _set, is_ideal, mv_preimage
 from .errors import InputError, PreconditionError, ResourceLimitError
+from .topology import (
+    _first_uncovered,
+    has_additive_subcover,
+    is_compact,
+    is_cover,
+    is_strongly_compact,
+)
 
 DEFAULT_MAX_NODES = 1_000_000
 
@@ -63,23 +73,8 @@ def _raw_sum(entries, size: int) -> list[int]:
     return acc
 
 
-def _first_uncovered(members: Sequence[FuzzySet], size: int) -> int | None:
-    """The first point where every member vanishes, or None when the supports cover."""
-    return next((x for x in range(size) if not any(m.values[x] for m in members)), None)
-
-
-def is_cover(family: FuzzyFamily) -> bool:
-    """True iff the join of the family is the unit set."""
-    return family.join().is_one
-
-
 def is_additive_cover(certificate: CoverCertificate) -> bool:
     return certificate.combined().is_one
-
-
-def has_additive_subcover(family: FuzzyFamily) -> bool:
-    """Finite-model criterion: a certificate exists iff the supports cover the carrier."""
-    return _first_uncovered(family.members, family.carrier.size) is None
 
 
 def find_additive_subcover(family: FuzzyFamily) -> CoverCertificate | None:
@@ -111,22 +106,6 @@ def find_additive_subcover(family: FuzzyFamily) -> CoverCertificate | None:
     certificate = CoverCertificate(tuple((m, mult) for m, mult in mults.items() if mult))
     assert is_additive_cover(certificate)
     return certificate
-
-
-def is_compact(topology: "Topology") -> bool:
-    """Decide compactness via the finite-model criterion.
-
-    Every open cover attains the top value at each point, so its supports
-    cover the carrier and the criterion yields an additive subcover; every
-    finite space over a finite chain is therefore compact.  The brute-force
-    cross-check lives in the oracles module.
-    """
-    return has_additive_subcover(topology.opens)
-
-
-def is_strongly_compact(topology: "Topology") -> bool:
-    """Every open cover of a finite space is itself a finite subcover."""
-    return is_cover(topology.opens)
 
 
 # -- exact solvers ---------------------------------------------------------------

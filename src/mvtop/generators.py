@@ -5,10 +5,21 @@ reproduces an instance exactly.  Builders that need an instance from a
 restricted class resample up to a bounded number of attempts and then fall
 back to a deterministic member of the class, keeping suite runs total.  The
 builders of products and terms import `product` and `covers` when called.
+
+Inside a suite run (`one_run`, entered by `suites.run_suite`) an instance memo
+gives each distinct subbase its closure, each drawn topology its acceptance
+verdict, each tuple of factors its product and each coordinate ideal its family
+once: cases draw from spaces of at most 3 points, so equal instances recur
+across the cases of a run.  The builders are pure and their values immutable,
+so a hit returns what a rebuild would (Michie, "Memo" functions, Nature 1968).
+The memo is keyed by value and lasts one run, so nothing built under one
+definition of a function survives into a run under another; outside a run
+every builder computes each time.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap
@@ -30,6 +41,36 @@ PAIR_PRODUCT_OPENS = 16
 
 # random topologies have at most this many opens unless a caller asks for fewer
 SAMPLE_OPENS = 64
+
+
+# the instance memo of the suite run in progress, None outside a run
+_memo: dict | None = None
+_MISSING = object()
+
+
+class one_run:
+    """The scope of the instance memo: a fresh memo on entry, none after exit."""
+
+    def __enter__(self) -> None:
+        global _memo
+        _memo = {}
+
+    def __exit__(self, *exc_info) -> None:
+        global _memo
+        _memo = None
+
+
+def once(build: Callable, *args):
+    """build(*args), built once per suite run for equal arguments, which must
+    be hashable; outside a run, built on every call."""
+    memo = _memo
+    if memo is None:
+        return build(*args)
+    key = (build, *args)
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = build(*args)
+    return value
 
 
 def case_rng(seed: int, index: int) -> random.Random:
@@ -105,7 +146,7 @@ def random_topology(
             else random_fuzzy_set(rng, carrier, chain)
             for _ in range(count)
         ]
-        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), max_opens)
+        topology = once(_generate_or_none, FuzzyFamily.of(carrier, chain, members), max_opens)
         if topology is not None:
             return topology
     return indiscrete(carrier, chain)
@@ -140,8 +181,8 @@ def random_topology_where(
                 members.append(random_crisp_set(rng, carrier, chain))
             else:
                 members.append(random_fuzzy_set(rng, carrier, chain))
-        topology = _generate_or_none(FuzzyFamily.of(carrier, chain, members), SAMPLE_OPENS)
-        if topology is not None and predicate(topology):
+        topology = once(_generate_or_none, FuzzyFamily.of(carrier, chain, members), SAMPLE_OPENS)
+        if topology is not None and once(predicate, topology):
             return topology
     return crisp_discrete(carrier, chain)
 
@@ -169,13 +210,17 @@ def random_zero_dimensional_topology(
     )
 
 
-def random_stone_topology(rng: random.Random, carrier: Carrier, chain: Chain) -> Topology:
+def _separated_and_zero_dimensional(topology: Topology) -> bool:
     # finite spaces are compact, so Stone reduces to Hausdorff + zero-dimensional
+    return is_hausdorff(topology) and is_zero_dimensional(topology)
+
+
+def random_stone_topology(rng: random.Random, carrier: Carrier, chain: Chain) -> Topology:
     return random_topology_where(
         rng,
         carrier,
         chain,
-        lambda t: is_hausdorff(t) and is_zero_dimensional(t),
+        _separated_and_zero_dimensional,
         singleton_bias=0.9,
         crisp_bias=0.6,
     )
@@ -194,7 +239,7 @@ def random_compact_pair(rng: random.Random) -> ProductSpace:
             size = 2 if rng.random() < 0.8 else rng.randint(1, 2)
             carrier = Carrier(tuple(_LABELS[:size]))
             factors.append(random_topology(rng, carrier, chain, max_subbase=2, max_opens=6))
-        space = product(factors)
+        space = once(product, tuple(factors))
         if len(space.topology().opens) <= PAIR_PRODUCT_OPENS:
             return space
     chain = Chain(1)
@@ -256,20 +301,14 @@ def coordinate_ideal(carrier: Carrier, chain: Chain, zero_at: Sequence[int]) -> 
     Over a finite chain every ideal of the pointwise algebra has this shape:
     any positive coordinate value saturates to the top under repeated sums.
     """
-    zero_at = frozenset(zero_at)
-    members = []
+    return once(_coordinate_ideal, carrier, chain, frozenset(zero_at))
 
-    def build(prefix: tuple[int, ...]) -> None:
-        i = len(prefix)
-        if i == carrier.size:
-            members.append(FuzzySet(carrier, chain, prefix))
-            return
-        choices = (0,) if i in zero_at else tuple(range(chain.n + 1))
-        for v in choices:
-            build(prefix + (v,))
 
-    build(())
-    return FuzzyFamily.of(carrier, chain, members)
+def _coordinate_ideal(carrier: Carrier, chain: Chain, zero_at: frozenset[int]) -> FuzzyFamily:
+    choices = ((0,) if i in zero_at else range(chain.n + 1) for i in range(carrier.size))
+    return FuzzyFamily.of(
+        carrier, chain, (FuzzySet(carrier, chain, v) for v in itertools.product(*choices))
+    )
 
 
 def random_coordinate_ideal(

@@ -3,8 +3,16 @@
 Each suite runs independent cases derived from (seed, case index), so a rerun
 with the same parameters reproduces the same report byte for byte.  A case
 returns None on success or a failure description; the runner keeps the first
-failure, shrunk where the case function knows how.  A `verify` run loads only
-its suite's code: each case imports the solvers, maps and oracles it uses.
+failure, shrunk where the case function knows how, and describes an instance
+only once a case fails.  A `verify` run loads only its suite's code: each case
+imports the solvers, maps and oracles it uses.
+
+A run builds its instances through the instance memo of `generators`
+(`one_run`, `once`): the sampled closures and acceptance verdicts, the products
+of factors, the coordinate ideals, and continuity's codomain, base and
+pulled-back topologies.  The property a case checks is computed every time,
+and the generation suite calls `generate_from_subbase` directly, since
+generation is what it tests.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ from .generators import (
     PAIR_PRODUCT_OPENS,
     case_rng,
     coordinate_ideal,
+    once,
+    one_run,
     random_carrier,
     random_chain,
     random_compact_pair,
@@ -92,44 +102,57 @@ def _factors_where(factors: list[Topology]) -> str:
 # -- algebra ---------------------------------------------------------------------
 
 
+def _scalar_law_failure(ch: Chain, a: int, b: int, c: int) -> str | None:
+    if ch.add(a, ch.add(b, c)) != ch.add(ch.add(a, b), c):
+        return "truncated sum is not associative"
+    if ch.add(a, b) != ch.add(b, a):
+        return "truncated sum is not commutative"
+    if ch.add(a, 0) != a:
+        return "0 is not a unit for the truncated sum"
+    if ch.neg(ch.neg(a)) != a:
+        return "complement is not involutive"
+    if ch.add(ch.neg(ch.add(ch.neg(a), b)), b) != ch.add(ch.neg(ch.add(ch.neg(b), a)), a):
+        return "characteristic identity fails"
+    if ch.mul(a, ch.add(b, c)) > ch.add(b, ch.mul(a, c)):
+        return "exchange inequality fails"
+    return None
+
+
+def _pointwise_law_failure(alpha: FuzzySet, beta: FuzzySet) -> str | None:
+    n = alpha.chain.n
+    if alpha.oplus(beta) != beta.oplus(alpha):
+        return "pointwise sum is not commutative"
+    if alpha.complement().complement() != alpha:
+        return "pointwise complement is not involutive"
+    lhs = alpha.complement().oplus(beta).complement().oplus(beta)
+    rhs = beta.complement().oplus(alpha).complement().oplus(alpha)
+    if lhs != rhs:
+        return "pointwise characteristic identity fails"
+    saturated = alpha.scaled(n)
+    if alpha.scaled(n + 3) != saturated:
+        return "scalar multiples do not stabilize"
+    crisp_support = FuzzySet(
+        alpha.carrier, alpha.chain, tuple(n if v > 0 else 0 for v in alpha.values)
+    )
+    if saturated != crisp_support:
+        return "saturated multiple is not the crisp support"
+    return None
+
+
 def _case_algebra(rng: random.Random) -> str | None:
     n = rng.randint(1, 8)
     ch = Chain(n)
     a, b, c = (rng.randint(0, n) for _ in range(3))
-    triple = f"n={n}, a={a}, b={b}, c={c}"
-    if ch.add(a, ch.add(b, c)) != ch.add(ch.add(a, b), c):
-        return f"truncated sum is not associative at {triple}"
-    if ch.add(a, b) != ch.add(b, a):
-        return f"truncated sum is not commutative at {triple}"
-    if ch.add(a, 0) != a:
-        return f"0 is not a unit for the truncated sum at {triple}"
-    if ch.neg(ch.neg(a)) != a:
-        return f"complement is not involutive at {triple}"
-    if ch.add(ch.neg(ch.add(ch.neg(a), b)), b) != ch.add(ch.neg(ch.add(ch.neg(b), a)), a):
-        return f"characteristic identity fails at {triple}"
-    if ch.mul(a, ch.add(b, c)) > ch.add(b, ch.mul(a, c)):
-        return f"exchange inequality fails at {triple}"
+    failure = _scalar_law_failure(ch, a, b, c)
+    if failure:
+        return f"{failure} at n={n}, a={a}, b={b}, c={c}"
 
     carrier = random_carrier(rng, 3)
     alpha = random_fuzzy_set(rng, carrier, ch)
     beta = random_fuzzy_set(rng, carrier, ch)
-    where = f"n={n}, alpha={alpha.values}, beta={beta.values}"
-    if alpha.oplus(beta) != beta.oplus(alpha):
-        return f"pointwise sum is not commutative at {where}"
-    if alpha.complement().complement() != alpha:
-        return f"pointwise complement is not involutive at {where}"
-    lhs = alpha.complement().oplus(beta).complement().oplus(beta)
-    rhs = beta.complement().oplus(alpha).complement().oplus(alpha)
-    if lhs != rhs:
-        return f"pointwise characteristic identity fails at {where}"
-    saturated = alpha.scaled(n)
-    if alpha.scaled(n + 3) != saturated:
-        return f"scalar multiples do not stabilize at {where}"
-    crisp_support = FuzzySet(
-        carrier, ch, tuple(n if v > 0 else 0 for v in alpha.values)
-    )
-    if saturated != crisp_support:
-        return f"saturated multiple is not the crisp support at {where}"
+    failure = _pointwise_law_failure(alpha, beta)
+    if failure:
+        return f"{failure} at n={n}, alpha={alpha.values}, beta={beta.values}"
     return None
 
 
@@ -165,24 +188,27 @@ def _case_generation(rng: random.Random) -> str | None:
         )
 
     topology = generate_from_subbase(subbase)
-    where = f"n={chain.n}, subbase={_vectors(subbase)}"
+
+    def where() -> str:
+        return f"n={chain.n}, subbase={_vectors(subbase)}"
+
     if not is_topology(topology.opens):
-        return f"generated family is not a topology at {where}"
+        return f"generated family is not a topology at {where()}"
     if not is_subbase(subbase, topology):
-        return f"the generator family is not a subbase of its own topology at {where}"
+        return f"the generator family is not a subbase of its own topology at {where()}"
 
     base_once = base_from_subbase(subbase)
     if base_from_subbase(base_once) != base_once:
-        return f"base closure is not idempotent at {where}"
+        return f"base closure is not idempotent at {where()}"
     extra = random_fuzzy_set(rng, carrier, chain)
     bigger = base_from_subbase(subbase.with_members((extra,)))
     if not all(m in bigger for m in base_once):
-        return f"base closure is not monotone at {where}"
+        return f"base closure is not monotone at {where()}"
 
     if not is_topology(closed_sets(topology)):
-        return f"closed sets are not closed under the dual operations at {where}"
+        return f"closed sets are not closed under the dual operations at {where()}"
     if not is_topology(clopens(topology)):
-        return f"clopens do not form a topology at {where}"
+        return f"clopens do not form a topology at {where()}"
     return None
 
 
@@ -197,18 +223,20 @@ def _case_continuity(rng: random.Random) -> str | None:
     cod_carrier = random_carrier(rng, 3)
     domain = random_topology(rng, dom_carrier, chain, max_opens=32)
     cod_subbase = random_family(rng, cod_carrier, chain, 2)
-    base = base_from_subbase(cod_subbase)
-    codomain = generate_from_subbase(cod_subbase)
+    base = once(base_from_subbase, cod_subbase)
+    codomain = once(generate_from_subbase, cod_subbase)
     f = random_point_map(rng, dom_carrier, cod_carrier)
-    where = (
-        f"n={chain.n}, map={f.images}, domain opens={_vectors(domain.opens)}, "
-        f"codomain subbase={_vectors(cod_subbase)}"
-    )
+
+    def where() -> str:
+        return (
+            f"n={chain.n}, map={f.images}, domain opens={_vectors(domain.opens)}, "
+            f"codomain subbase={_vectors(cod_subbase)}"
+        )
 
     via_base = is_continuous_via_base(f, domain, base)
     direct = is_continuous(f, domain, codomain)
     if via_base != direct:
-        return f"base continuity test disagrees with the direct one at {where}"
+        return f"base continuity test disagrees with the direct one at {where()}"
 
     # pulled-back topologies make maps continuous by construction, so the
     # composite of two continuous maps must stay continuous
@@ -217,11 +245,11 @@ def _case_continuity(rng: random.Random) -> str | None:
     pulled = FuzzyFamily.of(
         mid_carrier, chain, (mv_preimage(g, o) for o in domain.opens)
     )
-    middle = generate_from_subbase(pulled)
+    middle = once(generate_from_subbase, pulled)
     if not is_continuous(g, middle, domain):
-        return f"pullback-built map is not continuous at {where}"
+        return f"pullback-built map is not continuous at {where()}"
     if direct and not is_continuous(g.then(f), middle, codomain):
-        return f"composition of continuous maps is not continuous at {where}"
+        return f"composition of continuous maps is not continuous at {where()}"
 
     if dom_carrier.size == cod_carrier.size:
         images = list(range(cod_carrier.size))
@@ -230,7 +258,7 @@ def _case_continuity(rng: random.Random) -> str | None:
         open_map = is_open_map(bijection, domain, codomain)
         inverse_cont = is_continuous(bijection.inverse(), codomain, domain)
         if open_map != inverse_cont:
-            return f"bijective openness disagrees with inverse continuity at {where}"
+            return f"bijective openness disagrees with inverse continuity at {where()}"
     return None
 
 
@@ -251,26 +279,29 @@ def _case_tychonoff(rng: random.Random) -> str | None:
     from .oracles import brute_force_compactness
 
     space = random_compact_pair(rng)
-    described = [
-        f"factor {i}: n={f.chain.n}, points={f.carrier.points}, opens={_vectors(f.opens)}"
-        for i, f in enumerate(space.factors)
-    ]
-    where = "; ".join(described)
     for i, factor in enumerate(space.factors):
         report = brute_force_compactness(factor)
         if not report.compact:
-            return f"oracle found a non-compact factor {i} at {where}"
+            return f"oracle found a non-compact factor {i} at {_pair_where(space)}"
     report = brute_force_compactness(space.topology(), max_opens=PAIR_PRODUCT_OPENS)
     if not report.compact:
-        return f"oracle found the product non-compact at {where}"
+        return f"oracle found the product non-compact at {_pair_where(space)}"
     for _ in range(20):
         entries = random_subbasic_cover(rng, space)
         result = product_subbasic_subcover(space, entries)
         if not is_additive_cover(result.certificate):
-            return f"extracted certificate does not validate at {where}"
+            return f"extracted certificate does not validate at {_pair_where(space)}"
         if not _single_factor_form(space, result):
-            return f"extracted certificate mixes factors at {where}"
+            return f"extracted certificate mixes factors at {_pair_where(space)}"
     return None
+
+
+def _pair_where(space) -> str:
+    """The factors of a drawn pair, each with its chain and points, for a failure detail."""
+    return "; ".join(
+        f"factor {i}: n={f.chain.n}, points={f.carrier.points}, opens={_vectors(f.opens)}"
+        for i, f in enumerate(space.factors)
+    )
 
 
 def _case_hausdorff_product(rng: random.Random) -> str | None:
@@ -280,11 +311,10 @@ def _case_hausdorff_product(rng: random.Random) -> str | None:
     factors = [
         random_hausdorff_topology(rng, random_carrier(rng, 2), chain) for _ in range(2)
     ]
-    space = product(factors)
+    space = once(product, tuple(factors))
     topology = space.topology()
-    where = _factors_where(factors)
     if not is_hausdorff(topology):
-        return f"product of separated factors is not separated at {where}"
+        return f"product of separated factors is not separated at {_factors_where(factors)}"
 
     n = chain.n
     reports = [check_hausdorff(f) for f in factors]
@@ -300,11 +330,11 @@ def _case_hausdorff_product(rng: random.Random) -> str | None:
             lifted_x = mv_preimage(space.projections[j], ox)
             lifted_y = mv_preimage(space.projections[j], oy)
             if lifted_x.values[p] != n or lifted_y.values[q] != n:
-                return f"lifted witnesses miss the top value at {where}"
+                return f"lifted witnesses miss the top value at {_factors_where(factors)}"
             if not lifted_x.meet(lifted_y).is_zero:
-                return f"lifted witnesses are not disjoint at {where}"
+                return f"lifted witnesses are not disjoint at {_factors_where(factors)}"
             if lifted_x not in topology.opens or lifted_y not in topology.opens:
-                return f"lifted witnesses are not open in the product at {where}"
+                return f"lifted witnesses are not open in the product at {_factors_where(factors)}"
     return None
 
 
@@ -319,7 +349,7 @@ def _product_preserves(
 
     chain = random_chain(rng, 2)
     factors = [draw(rng, random_carrier(rng, 2), chain) for _ in range(2)]
-    if not holds(product(factors).topology()):
+    if not holds(once(product, tuple(factors)).topology()):
         return f"product of {what} factors is not {what} at {_factors_where(factors)}"
     return None
 
@@ -341,9 +371,12 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
     chain = random_chain(rng, 2)
     carrier = random_carrier(rng, 3)
     ideal, zero_at = random_coordinate_ideal(rng, carrier, chain)
-    where = f"n={chain.n}, points={carrier.points}, zero coordinates={sorted(zero_at)}"
+
+    def where() -> str:
+        return f"n={chain.n}, points={carrier.points}, zero coordinates={sorted(zero_at)}"
+
     if not is_ideal(ideal):
-        return f"constructed coordinate family is not an ideal at {where}"
+        return f"constructed coordinate family is not an ideal at {where()}"
 
     members = ideal.members
     alpha = rng.choice(members)
@@ -351,9 +384,9 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
         carrier, chain, tuple(rng.randint(0, v) for v in alpha.values)
     )
     if below not in ideal:
-        return f"ideal is not downward closed at {where}"
+        return f"ideal is not downward closed at {where()}"
     if alpha.oplus(rng.choice(members)) not in ideal:
-        return f"ideal is not closed under sums at {where}"
+        return f"ideal is not closed under sums at {where()}"
 
     universe = coordinate_ideal(carrier, chain, ()).members
     outside = [s for s in universe if s not in ideal]
@@ -363,18 +396,18 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
         for s in picks[1:]:
             acc = acc.oplus(s)
         if acc in ideal:
-            return f"sum of non-members landed in the ideal at {where}"
+            return f"sum of non-members landed in the ideal at {where()}"
         bumped = FuzzySet(
             carrier,
             chain,
             tuple(rng.randint(v, chain.n) for v in picks[0].values),
         )
         if bumped in ideal:
-            return f"a set above a non-member landed in the ideal at {where}"
+            return f"a set above a non-member landed in the ideal at {where()}"
 
     dual = FuzzyFamily.of(carrier, chain, (m.complement() for m in members))
     if not is_filter(dual):
-        return f"complement of the ideal is not a filter at {where}"
+        return f"complement of the ideal is not a filter at {where()}"
 
     # with every summand topping up beta, the product of the summands plus
     # enough copies of beta still reaches the top
@@ -390,7 +423,7 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
         prod = prod.odot(t)
     if not prod.oplus(beta.scaled(count)).is_one:
         return (
-            f"product-plus-copies identity fails at {where} with beta={beta.values}, "
+            f"product-plus-copies identity fails at {where()} with beta={beta.values}, "
             f"summands={[t.values for t in tops]}"
         )
     return None
@@ -408,8 +441,7 @@ def _case_lemma1(rng: random.Random) -> str | None:
         random_topology(rng, random_carrier(rng, 2), chain, max_subbase=2, max_opens=6)
         for _ in range(2)
     ]
-    space = product(factors)
-    where = _factors_where(factors)
+    space = once(product, tuple(factors))
 
     if rng.random() < 0.25:
         entries = random_subbasic_noncover(rng, space)
@@ -417,14 +449,14 @@ def _case_lemma1(rng: random.Random) -> str | None:
             product_subbasic_subcover(space, entries)
         except PreconditionError:
             return None
-        return f"a non-cover was not rejected at {where}"
+        return f"a non-cover was not rejected at {_factors_where(factors)}"
 
     entries = random_subbasic_cover(rng, space)
     result = product_subbasic_subcover(space, entries)
     if not is_additive_cover(result.certificate):
-        return f"extracted certificate does not validate at {where}"
+        return f"extracted certificate does not validate at {_factors_where(factors)}"
     if not _single_factor_form(space, result):
-        return f"extracted certificate mixes factors at {where}"
+        return f"extracted certificate mixes factors at {_factors_where(factors)}"
     return None
 
 
@@ -442,20 +474,22 @@ SUITES: dict[str, Callable[[random.Random], str | None]] = {
 
 
 def run_suite(name: str, seed: int, cases: int) -> SuiteReport:
+    """Run the cases of one suite; the instances they build are memoized for this run only."""
     case = SUITES[name]
     passed = failed = 0
     first_case = None
     first_detail = None
-    for index in range(cases):
-        try:
-            detail = case(case_rng(seed, index))
-        except Exception as exc:  # a crash is a failed case, not a dead report
-            detail = f"unhandled {type(exc).__name__}: {exc}"
-        if detail is None:
-            passed += 1
-        else:
-            failed += 1
-            if first_case is None:
-                first_case = index
-                first_detail = detail
+    with one_run():
+        for index in range(cases):
+            try:
+                detail = case(case_rng(seed, index))
+            except Exception as exc:  # a crash is a failed case, not a dead report
+                detail = f"unhandled {type(exc).__name__}: {exc}"
+            if detail is None:
+                passed += 1
+            else:
+                failed += 1
+                if first_case is None:
+                    first_case = index
+                    first_detail = detail
     return SuiteReport(name, seed, cases, passed, failed, first_case, first_detail)

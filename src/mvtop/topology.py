@@ -246,10 +246,42 @@ def is_zero_dimensional(topology: Topology) -> bool:
     return is_base(clopens(topology), topology)
 
 
+# -- covers and compactness: the deciders `check` runs; the solvers are in `covers`
+
+
+def _first_uncovered(members: Sequence[FuzzySet], size: int) -> int | None:
+    """The first point where every member vanishes, or None when the supports cover."""
+    return next((x for x in range(size) if not any(m.values[x] for m in members)), None)
+
+
+def is_cover(family: FuzzyFamily) -> bool:
+    """True iff the join of the family is the unit set."""
+    return family.join().is_one
+
+
+def has_additive_subcover(family: FuzzyFamily) -> bool:
+    """Finite-model criterion: a certificate exists iff the supports cover the carrier."""
+    return _first_uncovered(family.members, family.carrier.size) is None
+
+
+def is_compact(topology: Topology) -> bool:
+    """Decide compactness via the finite-model criterion.
+
+    Every open cover attains the top value at each point, so its supports
+    cover the carrier and the criterion yields an additive subcover; every
+    finite space over a finite chain is therefore compact.  The brute-force
+    cross-check lives in the oracles module.
+    """
+    return has_additive_subcover(topology.opens)
+
+
+def is_strongly_compact(topology: Topology) -> bool:
+    """Every open cover of a finite space is itself a finite subcover."""
+    return is_cover(topology.opens)
+
+
 def is_stone(topology: Topology) -> bool:
     """Compact, Hausdorff, and zero-dimensional."""
-    from .covers import is_compact
-
     return (
         is_compact(topology)
         and is_hausdorff(topology)

@@ -1,5 +1,6 @@
 """Chain arithmetic, fuzzy sets, families, preimages, and ideal predicates."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from mvtop import (
     is_ideal,
     mv_preimage,
 )
+from mvtop import core
 
 CH2 = Chain(2)
 CH4 = Chain(4)
@@ -311,3 +313,75 @@ def test_filter_duality():
 def test_upward_closure_failure_is_detected():
     members = [fs(AB, CH2, 2, 2), fs(AB, CH2, 2, 1)]
     assert not is_filter(FuzzyFamily.of(AB, CH2, members))
+
+
+def reference_order_and_op_closed(family, step, op):
+    """The ideal (filter) check as a direct scan with `FuzzySet` operations:
+    nonempty, every single-step move stays inside, every ordered pair's op stays inside."""
+    present = {m.values for m in family}
+    if not present:
+        return False
+    for m in family:
+        for i, v in enumerate(m.values):
+            if 0 <= v + step <= family.chain.n:
+                if m.values[:i] + (v + step,) + m.values[i + 1 :] not in present:
+                    return False
+    return all(op(a, b).values in present for a in family for b in family)
+
+
+def closure_candidates(seed, count):
+    """Seeded families around ideals and filters: coordinate ideals and their
+    complements, down- and up-closures of random sets (rarely op-closed), each
+    also with one member dropped or one random set added."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        chain = Chain(rng.randint(1, 3))
+        carrier = Carrier(tuple("abc"[: rng.randint(1, 3)]))
+        universe = [
+            FuzzySet(carrier, chain, v)
+            for v in itertools.product(range(chain.n + 1), repeat=carrier.size)
+        ]
+        zero_at = {i for i in range(carrier.size) if rng.random() < 0.5}
+        ideal = [m for m in universe if all(m.values[i] == 0 for i in zero_at)]
+        tops = rng.sample(universe, rng.randint(1, 2))
+        down = [m for m in universe if any(m.leq(t) for t in tops)]
+        up = [m for m in universe if any(t.leq(m) for t in tops)]
+        for members in (ideal, [m.complement() for m in ideal], down, up):
+            yield FuzzyFamily.of(carrier, chain, members)
+            if len(members) > 1:
+                dropped = list(members)
+                dropped.pop(rng.randrange(len(dropped)))
+                yield FuzzyFamily.of(carrier, chain, dropped)
+            yield FuzzyFamily.of(carrier, chain, members + [rng.choice(universe)])
+
+
+def ideal_and_filter_mismatches(seed, count):
+    """Families where the lane-based check disagrees with the reference scan,
+    and the verdicts seen, as (is_ideal, is_filter) pairs."""
+    mismatches, verdicts = [], set()
+    for family in closure_candidates(seed, count):
+        verdict = (is_ideal(family), is_filter(family))
+        verdicts.add(verdict)
+        reference = (
+            reference_order_and_op_closed(family, -1, FuzzySet.oplus),
+            reference_order_and_op_closed(family, 1, FuzzySet.odot),
+        )
+        if verdict != reference:
+            mismatches.append(family)
+    return mismatches, verdicts
+
+
+def test_ideal_and_filter_checks_match_the_reference_scan():
+    mismatches, verdicts = ideal_and_filter_mismatches(41, 150)
+    assert mismatches == []
+    assert verdicts == {(True, False), (False, True), (False, False), (True, True)}
+
+
+def test_reference_scan_catches_a_check_that_skips_the_op_closure(monkeypatch):
+    # the mutant decides order closure only: every combined value counts as present
+    order_only = core._order_and_op_closed
+    monkeypatch.setattr(
+        core, "_order_and_op_closed", lambda family, step, op: order_only(family, step, lambda lanes, a, b: a)
+    )
+    mismatches, _ = ideal_and_filter_mismatches(41, 150)
+    assert mismatches
