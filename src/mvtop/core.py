@@ -9,8 +9,9 @@ given, so each value is checked once, where it enters.  A result computed from
 sets already checked (an operation, a complement, a multiple, a preimage, a
 vector unpacked from lanes) is valid by construction and is built by
 `FuzzySet._trusted`, which checks nothing.  `Lanes` is the compute
-representation for hot scans: a whole value vector packed into one int, with
-lane-wise operations that trust their operands for the same reason.
+representation: a whole value vector packed into one int, with lane-wise
+operations that trust their operands for the same reason.  A `FuzzyFamily`
+stores its members so, and is the only place that packs or unpacks them.
 
 The value classes are `Record`s: plain `__slots__` classes whose constructor,
 equality, hash, repr and immutability are written once, in `Record`, so that
@@ -369,6 +370,12 @@ class Lanes:
         """True iff a <= b in every lane."""
         return ((b | self.guard) - a) & self.guard == self.guard
 
+    def at_top(self, x: int) -> list[int]:
+        """The lanes where x holds n: those keeping their guard bit in (x | guard) - top."""
+        g = ((x | self.guard) - self.top) & self.guard
+        last = self.width * (self.size - 1) + self.shift  # lane 0's guard bit
+        return [i for i in range(self.size) if g >> last - self.width * i & 1]
+
     def join_below(self, members: Iterable[int], x: int) -> int:
         """The join of the members below x; 0 when none is."""
         acc = 0
@@ -434,35 +441,49 @@ class PointMap(Record):
 class FuzzyFamily(Record):
     """A duplicate-free family of fuzzy sets on one carrier, kept in canonical order.
 
-    The family is the one place that deduplicates fuzzy sets and decides
-    membership; both go by value vector, which identifies a member once its
-    carrier and chain are checked.  `_by_values` is no field: equality, the
-    hash and the repr leave it out.
+    The members are stored packed by `lanes`: `packed` holds the distinct ints
+    in increasing (canonical) order and `present` is their frozenset.  The
+    family is the one place that deduplicates fuzzy sets, decides membership
+    and converts between sets and ints.  `members` is built from `packed` on
+    first use, unless the family was built from sets, which it keeps.  Equality
+    goes by the ints; the hash, the repr and pickles go by the members.
     """
 
-    __slots__ = ("carrier", "chain", "members", "_by_values")
+    __slots__ = ("carrier", "chain", "lanes", "packed", "present", "_members")
 
-    def __init__(self, carrier: Carrier, chain: Chain, members: tuple[FuzzySet, ...] = ()):
+    def __init__(self, carrier: Carrier, chain: Chain, members: Iterable[FuzzySet] = ()):
+        lanes = Lanes(carrier.size, chain.n)
+        by_packed = {}
         for m in members:
             if m.carrier is not carrier or m.chain is not chain:
                 if m.carrier != carrier or m.chain != chain:
                     raise InputError("family member lives on a different carrier or chain")
-        by_values = {m.values: m for m in members}
-        self._fill(carrier, chain, tuple(by_values[v] for v in sorted(by_values)), by_values)
+            by_packed[lanes.pack(m.values)] = m
+        self._fill(carrier, chain, lanes, by_packed)
+        _set(self, "_members", tuple([by_packed[x] for x in self.packed]))
 
     @classmethod
-    def _canonical(cls, carrier: Carrier, chain: Chain, members: tuple[FuzzySet, ...]) -> FuzzyFamily:
-        """The family of members that are distinct, on this carrier and chain, and
-        in canonical order already: nothing is checked or sorted."""
+    def _from_packed(cls, carrier: Carrier, chain: Chain, lanes: Lanes, packed: Iterable[int]) -> FuzzyFamily:
+        """The family of distinct ints packed by `lanes`, in any order: nothing is checked."""
         family = _new(cls)
-        family._fill(carrier, chain, members, {m.values: m for m in members})
+        family._fill(carrier, chain, lanes, packed)
         return family
 
-    def _fill(self, carrier: Carrier, chain: Chain, members: tuple, by_values: dict) -> None:
-        _set(self, "carrier", carrier)
-        _set(self, "chain", chain)
-        _set(self, "members", members)
-        _set(self, "_by_values", by_values)
+    def _fill(self, carrier: Carrier, chain: Chain, lanes: Lanes, packed: Iterable[int]) -> None:
+        packed = tuple(sorted(packed))
+        values = (carrier, chain, lanes, packed, frozenset(packed), None)
+        for field, value in zip(self.__slots__, values):
+            _set(self, field, value)
+
+    @property
+    def members(self) -> tuple[FuzzySet, ...]:
+        if self._members is None:
+            _set(self, "_members", tuple([self.set_of(x) for x in self.packed]))
+        return self._members
+
+    def set_of(self, x: int) -> FuzzySet:
+        """The fuzzy set on the family's carrier and chain that packs to x."""
+        return FuzzySet._trusted(self.carrier, self.chain, self.lanes.unpack(x))
 
     def _astuple(self) -> tuple:
         return self.carrier, self.chain, self.members
@@ -470,7 +491,7 @@ class FuzzyFamily(Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.carrier, self.chain, self.members) == (other.carrier, other.chain, other.members)
+        return (self.carrier, self.chain, self.packed) == (other.carrier, other.chain, other.packed)
 
     def __hash__(self):
         return hash((self.carrier, self.chain, self.members))
@@ -480,16 +501,19 @@ class FuzzyFamily(Record):
 
     @classmethod
     def of(cls, carrier: Carrier, chain: Chain, members: Iterable[FuzzySet]) -> "FuzzyFamily":
-        return cls(carrier, chain, tuple(members))
+        return cls(carrier, chain, members)
 
     def __iter__(self) -> Iterator[FuzzySet]:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.packed)
 
     def __contains__(self, item: FuzzySet) -> bool:
-        return self._by_values.get(item.values) == item
+        if item.carrier is not self.carrier or item.chain is not self.chain:
+            if item.carrier != self.carrier or item.chain != self.chain:
+                return False
+        return self.lanes.pack(item.values) in self.present
 
     def with_members(self, extra: Iterable[FuzzySet]) -> "FuzzyFamily":
         return FuzzyFamily(self.carrier, self.chain, self.members + tuple(extra))
@@ -539,25 +563,21 @@ def _order_and_op_closed(
     +1 up, within 0..n), and closed under the binary lane op.
 
     Single-step moves generate the pointwise order, so checking them one
-    coordinate at a time decides full downward (upward) closure.  The op
-    closure is decided on the members packed into `Lanes` ints.
+    coordinate at a time decides full downward (upward) closure.  A move is
+    one lane unit, 1 << s for the lane at bit s, added to or taken from the int.
     """
-    if len(family) == 0:
+    lanes, packed, present, n = family.lanes, family.packed, family.present, family.chain.n
+    if not packed:
         return False
-    present = family._by_values
-    for m in family.members:
-        for i, v in enumerate(m.values):
-            if 0 <= v + step <= family.chain.n:
-                moved = m.values[:i] + (v + step,) + m.values[i + 1 :]
-                if moved not in present:
-                    return False
-    lanes = Lanes(family.carrier.size, family.chain.n)
-    packed = [lanes.pack(m.values) for m in family.members]
-    members = set(packed)
+    mask = (1 << lanes.shift) - 1
+    for x in packed:
+        for s in range(0, lanes.width * lanes.size, lanes.width):
+            if 0 <= (x >> s & mask) + step <= n and x + (step << s) not in present:
+                return False
     for i, a in enumerate(packed):
         # both ops are commutative: each unordered pair once
         for b in packed[i:]:
-            if op(lanes, a, b) not in members:
+            if op(lanes, a, b) not in present:
                 return False
     return True
 

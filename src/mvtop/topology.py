@@ -6,15 +6,15 @@ operations, then joins the base members; both steps stop at the same size cap.
 Validation checks closure on the join-irreducible members only: oplus, odot
 and meet distribute over join, and every member is a join of them.
 
-The hot scans (closure, the topology, base and Hausdorff checks) pack their
-fuzzy sets into `core.Lanes` ints once, compute on those, and turn results back
-into `FuzzySet`s only at the end.  Their inputs were validated when they were
-built, so those results are valid by construction and are not checked again.
+The hot scans (closure, the topology, base and Hausdorff checks) compute on
+the ints a `FuzzyFamily` packs its members into, and return families of ints
+whose members are built only when asked for.  Their inputs were validated when
+they were built, so those results are valid by construction, unchecked.
 """
 
 from __future__ import annotations
 
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Lanes, Record, _set
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record, _set
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_MAX_OPENS = 20_000
@@ -66,15 +66,6 @@ def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
     return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
 
 
-def _family(carrier: Carrier, chain: Chain, lanes: Lanes, packed: list[int]) -> FuzzyFamily:
-    """The family of the distinct packed vectors; int order is canonical order."""
-    return FuzzyFamily._canonical(
-        carrier,
-        chain,
-        tuple([FuzzySet._trusted(carrier, chain, lanes.unpack(z)) for z in sorted(packed)]),
-    )
-
-
 def _extend(queue: list[int], seen: set[int], new: Iterable[int], cap: int, what: str) -> None:
     """Append the values of new not yet seen; the one that takes a closure past
     its cap raises, so a cap error always reads one past the cap."""
@@ -94,16 +85,15 @@ def base_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS
     Semi-naive order: each member taken from the queue is combined only with
     the members taken before it and with itself.
     """
-    carrier, chain = subbase.carrier, subbase.chain
-    lanes = Lanes(carrier.size, chain.n)
+    lanes = subbase.lanes
     queue: list[int] = []
     seen: set[int] = set()
-    _extend(queue, seen, (lanes.pack(m.values) for m in subbase), max_size, "base")
+    _extend(queue, seen, subbase.packed, max_size, "base")
     for i, x in enumerate(queue):
         for y in queue[: i + 1]:
             results = (lanes.oplus(x, y), lanes.odot(x, y), lanes.meet(x, y))
             _extend(queue, seen, results, max_size, "base")
-    return _family(carrier, chain, lanes, queue)
+    return FuzzyFamily._from_packed(subbase.carrier, subbase.chain, lanes, queue)
 
 
 def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_OPENS) -> Topology:
@@ -116,17 +106,16 @@ def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_O
     so far (Birkhoff: the join-irreducible ones generate the lattice).
     """
     carrier, chain = subbase.carrier, subbase.chain
-    lanes = Lanes(carrier.size, chain.n)
     base = base_from_subbase(subbase, max_size=max_size)
+    lanes = base.lanes
     opens: list[int] = []
     seen: set[int] = set()
     _extend(opens, seen, (0, lanes.top), max_size, "topology")
-    for m in base:
-        b = lanes.pack(m.values)
+    for b in base.packed:
         if b not in seen:
             # a list, not a generator: the joins are taken with the opens so far
             _extend(opens, seen, [lanes.join(t, b) for t in opens], max_size, "topology")
-    return Topology(carrier, chain, _family(carrier, chain, lanes, opens))
+    return Topology(carrier, chain, FuzzyFamily._from_packed(carrier, chain, lanes, opens))
 
 
 def topology_violation(family: FuzzyFamily) -> str | None:
@@ -141,9 +130,7 @@ def topology_violation(family: FuzzyFamily) -> str | None:
     every member x and j in J, and j oplus j', j odot j' and j meet j' are
     present for all j, j' in J: O(|F|·|J| + |J|²).
     """
-    lanes = Lanes(family.carrier.size, family.chain.n)
-    members = [lanes.pack(m.values) for m in family]
-    present = set(members)
+    lanes, members, present = family.lanes, family.packed, family.present
     if 0 not in present:
         return "the zero set is missing"
     if lanes.top not in present:
@@ -164,10 +151,8 @@ def topology_violation(family: FuzzyFamily) -> str | None:
                 out = op(x, j)
                 if out not in present:
                     a, b = sorted((x, j))
-                    return (
-                        f"not closed under {name}: {list(lanes.unpack(a))} with "
-                        f"{list(lanes.unpack(b))} gives {list(lanes.unpack(out))}"
-                    )
+                    a, b, out = (list(family.set_of(z).values) for z in (a, b, out))
+                    return f"not closed under {name}: {a} with {b} gives {out}"
     return None
 
 
@@ -183,15 +168,13 @@ def base_witness(candidate: FuzzyFamily, topology: Topology) -> FuzzySet | None:
     open, in canonical order, that is not the join of the candidate members
     below it.
     """
+    opens = topology.opens
     for m in candidate:
-        if m not in topology.opens:
+        if m not in opens:
             return m
-    lanes = Lanes(topology.carrier.size, topology.chain.n)
-    members = [lanes.pack(m.values) for m in candidate]
-    for o in topology.opens:
-        x = lanes.pack(o.values)
-        if lanes.join_below(members, x) != x:
-            return o
+    for x in opens.packed:
+        if opens.lanes.join_below(candidate.packed, x) != x:
+            return opens.set_of(x)
     return None
 
 
@@ -307,18 +290,15 @@ def check_hausdorff(topology: Topology) -> SeparationReport:
     disjoint, and (U_x, U_y) is then the first separating pair of opens in
     canonical order.  `oracles.naive_check_hausdorff` is the pair search.
     """
-    carrier, chain = topology.carrier, topology.chain
-    lanes = Lanes(carrier.size, chain.n)
-    least = [lanes.top] * carrier.size
-    for o in topology.opens:
-        x = lanes.pack(o.values)
-        for i, v in enumerate(o.values):
-            if v == chain.n:
-                least[i] = lanes.meet(least[i], x)
-    sets = [FuzzySet._trusted(carrier, chain, lanes.unpack(u)) for u in least]
+    opens, size, lanes = topology.opens, topology.carrier.size, topology.opens.lanes
+    least = [lanes.top] * size
+    for x in opens.packed:
+        for i in lanes.at_top(x):
+            least[i] = lanes.meet(least[i], x)
+    sets = [opens.set_of(u) for u in least]
     witnesses = []
-    for x in range(carrier.size):
-        for y in range(x + 1, carrier.size):
+    for x in range(size):
+        for y in range(x + 1, size):
             if lanes.meet(least[x], least[y]):
                 return SeparationReport(False, tuple(witnesses), (x, y))
             witnesses.append(((x, y), (sets[x], sets[y])))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mvtop import cli
@@ -845,7 +845,6 @@ def test_every_subcommand_keeps_the_exit_code_contract_on_drawn_documents(comman
     than about 1000 members still raises RecursionError.
     """
 
-    @settings(deadline=None)
     @given(cli_calls(command))
     @example((["gen", "space.json"], {"space.json": HUGE_CHAIN}))  # a 5000-digit literal
     def contract_holds(call):

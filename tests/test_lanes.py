@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from mvtop import (
@@ -215,9 +215,6 @@ def no_meet_family():
     return closed_without_meet(carrier, chain, generators)
 
 
-# no deadline: a drawn no-meet family can reach 145 members, where the quadratic
-# reference scan alone takes 0.12-0.18 s against the default deadline of 0.2 s
-@settings(deadline=None)
 @given(drawn_families())
 @example(("no-meet", no_meet_family()))
 def test_violation_matches_reference_scan_on_drawn_families(drawn):

@@ -68,7 +68,7 @@ def family_revalidates(family) -> bool:
     if not all(revalidates(m) for m in family):
         return False
     checked = FuzzyFamily.of(family.carrier, family.chain, family.members)
-    return checked == family and checked._by_values == family._by_values
+    return checked == family and checked.present == family.present
 
 
 def first_invalid(seed, count):
@@ -99,9 +99,9 @@ def test_a_family_from_lanes_equals_the_checked_family():
     opens = generate_from_subbase(subbase).opens
     checked = FuzzyFamily.of(carrier, chain, reversed(opens.members))
     assert [m.values for m in opens] == [(0, 0), (0, 2), (1, 2), (2, 2)]
-    assert (opens, opens._by_values, hash(opens), repr(opens)) == (
+    assert (opens, opens.present, hash(opens), repr(opens)) == (
         checked,
-        checked._by_values,
+        checked.present,
         hash(checked),
         repr(checked),
     )
