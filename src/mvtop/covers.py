@@ -4,22 +4,16 @@ Additive covers are finite multisets of fuzzy sets whose truncated sum is the
 unit set.  Over a finite chain a multiplicity beyond the chain resolution n
 never helps (scalar multiples saturate), which bounds every search to
 multiplicity vectors in 0..n and is the key solver decision.  The cover and
-compactness deciders (`is_cover`, `has_additive_subcover`, `is_compact`,
-`is_strongly_compact`) live in `topology`, so that `check` runs them without
-loading the solvers; they are imported here as well.
+compactness deciders live in `topology`, so that `check` runs them without
+loading the solvers; of them this module imports only `has_additive_subcover`
+and `is_cover` (and the private `_first_uncovered`).
 """
 
 from __future__ import annotations
 
 from .core import FuzzyFamily, FuzzySet, Record, _set, is_ideal, mv_preimage
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .topology import (
-    _first_uncovered,
-    has_additive_subcover,
-    is_compact,
-    is_cover,
-    is_strongly_compact,
-)
+from .topology import _first_uncovered, has_additive_subcover, is_cover
 
 DEFAULT_MAX_NODES = 1_000_000
 

@@ -3,7 +3,8 @@
 Every builder takes an explicit random.Random, so a (seed, case index) pair
 reproduces an instance exactly.  Builders that need an instance from a
 restricted class resample up to a bounded number of attempts and then fall
-back to a deterministic member of the class, keeping suite runs total.  The
+back to a deterministic member of the class, keeping suite runs total; the
+Stone sampler accepts with `is_stone`, the predicate the suites check.  The
 builders of products and terms import `product` and `covers` when called.
 
 Inside a suite run (`one_run`, entered by `suites.run_suite`) an instance memo
@@ -30,6 +31,7 @@ from .topology import (
     generate_from_subbase,
     indiscrete,
     is_hausdorff,
+    is_stone,
     is_zero_dimensional,
 )
 
@@ -210,17 +212,12 @@ def random_zero_dimensional_topology(
     )
 
 
-def _separated_and_zero_dimensional(topology: Topology) -> bool:
-    # finite spaces are compact, so Stone reduces to Hausdorff + zero-dimensional
-    return is_hausdorff(topology) and is_zero_dimensional(topology)
-
-
 def random_stone_topology(rng: random.Random, carrier: Carrier, chain: Chain) -> Topology:
     return random_topology_where(
         rng,
         carrier,
         chain,
-        _separated_and_zero_dimensional,
+        is_stone,
         singleton_bias=0.9,
         crisp_bias=0.6,
     )

@@ -93,7 +93,7 @@ def _vectors(family: FuzzyFamily) -> list[tuple[int, ...]]:
     return [m.values for m in family.members]
 
 
-def _factors_where(factors: list[Topology]) -> str:
+def _factors_where(factors: Sequence[Topology]) -> str:
     """The factors' opens, for a failure detail; the factors share one chain."""
     described = "; ".join(f"factor {i}: opens={_vectors(f.opens)}" for i, f in enumerate(factors))
     return f"{described} (n={factors[0].chain.n})"
@@ -265,6 +265,18 @@ def _case_continuity(rng: random.Random) -> str | None:
 # -- products --------------------------------------------------------------------
 
 
+def _draw_pair(
+    rng: random.Random, draw: Callable[..., Topology], **kwargs
+) -> tuple[list[Topology], ProductSpace]:
+    """Two factors of at most 2 points over one chain with n <= 2, each drawn
+    by draw(rng, carrier, chain, **kwargs), and their product."""
+    from .product import product
+
+    chain = random_chain(rng, 2)
+    factors = [draw(rng, random_carrier(rng, 2), chain, **kwargs) for _ in range(2)]
+    return factors, once(product, tuple(factors))
+
+
 def _single_factor_form(space, result) -> bool:
     projection = space.projections[result.factor_index]
     factor = space.factors[result.factor_index]
@@ -274,49 +286,44 @@ def _single_factor_form(space, result) -> bool:
     return all(member in lifted for member, _ in result.certificate.entries)
 
 
-def _case_tychonoff(rng: random.Random) -> str | None:
+def _extraction_failure(space, entries) -> str | None:
+    """Lemma 1 on a subbasic cover of the product: what is wrong with the
+    additive cover extracted from it, or None."""
     from .covers import is_additive_cover, product_subbasic_subcover
+
+    result = product_subbasic_subcover(space, entries)
+    if not is_additive_cover(result.certificate):
+        return "extracted certificate does not validate"
+    if not _single_factor_form(space, result):
+        return "extracted certificate mixes factors"
+    return None
+
+
+def _case_tychonoff(rng: random.Random) -> str | None:
     from .oracles import brute_force_compactness
 
     space = random_compact_pair(rng)
     for i, factor in enumerate(space.factors):
         report = brute_force_compactness(factor)
         if not report.compact:
-            return f"oracle found a non-compact factor {i} at {_pair_where(space)}"
+            return f"oracle found a non-compact factor {i} at {_factors_where(space.factors)}"
     report = brute_force_compactness(space.topology(), max_opens=PAIR_PRODUCT_OPENS)
     if not report.compact:
-        return f"oracle found the product non-compact at {_pair_where(space)}"
+        return f"oracle found the product non-compact at {_factors_where(space.factors)}"
     for _ in range(20):
-        entries = random_subbasic_cover(rng, space)
-        result = product_subbasic_subcover(space, entries)
-        if not is_additive_cover(result.certificate):
-            return f"extracted certificate does not validate at {_pair_where(space)}"
-        if not _single_factor_form(space, result):
-            return f"extracted certificate mixes factors at {_pair_where(space)}"
+        failure = _extraction_failure(space, random_subbasic_cover(rng, space))
+        if failure:
+            return f"{failure} at {_factors_where(space.factors)}"
     return None
 
 
-def _pair_where(space) -> str:
-    """The factors of a drawn pair, each with its chain and points, for a failure detail."""
-    return "; ".join(
-        f"factor {i}: n={f.chain.n}, points={f.carrier.points}, opens={_vectors(f.opens)}"
-        for i, f in enumerate(space.factors)
-    )
-
-
 def _case_hausdorff_product(rng: random.Random) -> str | None:
-    from .product import product
-
-    chain = random_chain(rng, 2)
-    factors = [
-        random_hausdorff_topology(rng, random_carrier(rng, 2), chain) for _ in range(2)
-    ]
-    space = once(product, tuple(factors))
+    factors, space = _draw_pair(rng, random_hausdorff_topology)
     topology = space.topology()
     if not is_hausdorff(topology):
         return f"product of separated factors is not separated at {_factors_where(factors)}"
 
-    n = chain.n
+    n = space.chain.n
     reports = [check_hausdorff(f) for f in factors]
     for p in range(space.carrier.size):
         for q in range(p + 1, space.carrier.size):
@@ -345,11 +352,8 @@ def _product_preserves(
     what: str,
 ) -> str | None:
     """Draw two factors with the property and check it on their product."""
-    from .product import product
-
-    chain = random_chain(rng, 2)
-    factors = [draw(rng, random_carrier(rng, 2), chain) for _ in range(2)]
-    if not holds(once(product, tuple(factors)).topology()):
+    factors, space = _draw_pair(rng, draw)
+    if not holds(space.topology()):
         return f"product of {what} factors is not {what} at {_factors_where(factors)}"
     return None
 
@@ -433,15 +437,9 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
 
 
 def _case_lemma1(rng: random.Random) -> str | None:
-    from .covers import is_additive_cover, product_subbasic_subcover
-    from .product import product
+    from .covers import product_subbasic_subcover
 
-    chain = random_chain(rng, 2)
-    factors = [
-        random_topology(rng, random_carrier(rng, 2), chain, max_subbase=2, max_opens=6)
-        for _ in range(2)
-    ]
-    space = once(product, tuple(factors))
+    factors, space = _draw_pair(rng, random_topology, max_subbase=2, max_opens=6)
 
     if rng.random() < 0.25:
         entries = random_subbasic_noncover(rng, space)
@@ -451,12 +449,9 @@ def _case_lemma1(rng: random.Random) -> str | None:
             return None
         return f"a non-cover was not rejected at {_factors_where(factors)}"
 
-    entries = random_subbasic_cover(rng, space)
-    result = product_subbasic_subcover(space, entries)
-    if not is_additive_cover(result.certificate):
-        return f"extracted certificate does not validate at {_factors_where(factors)}"
-    if not _single_factor_form(space, result):
-        return f"extracted certificate mixes factors at {_factors_where(factors)}"
+    failure = _extraction_failure(space, random_subbasic_cover(rng, space))
+    if failure:
+        return f"{failure} at {_factors_where(factors)}"
     return None
 
 

@@ -1,6 +1,7 @@
 """The randomized verification suites themselves."""
 
 import importlib
+import itertools
 
 import pytest
 
@@ -9,8 +10,11 @@ from mvtop import (
     Chain,
     FuzzyFamily,
     FuzzySet,
+    covers,
     generate_from_subbase,
     is_hausdorff,
+    is_stone,
+    is_topology,
     maps,
     oracles,
     suites,
@@ -19,6 +23,7 @@ from mvtop import (
 from mvtop import generators
 from mvtop.generators import case_rng, one_run, random_hausdorff_topology, random_topology
 from mvtop.suites import SUITES, SuiteReport, render_report, run_suite
+from test_families import planted
 
 product_module = importlib.import_module("mvtop.product")
 
@@ -105,8 +110,17 @@ FORCED_FAILURES = [
         lambda topology, max_opens=16: oracles.CompactnessOracleReport(False, 0, (), None),
         (
             4, 0,
-            "oracle found a non-compact factor 0 at factor 0: n=1, points=('a', 'b'), "
-            "opens=[(0, 0), (1, 0), (1, 1)]; factor 1: n=1, points=('a', 'b'), opens=[(0, 0), (1, 1)]",
+            "oracle found a non-compact factor 0 at factor 0: opens=[(0, 0), (1, 0), (1, 1)]; "
+            "factor 1: opens=[(0, 0), (1, 1)] (n=1)",
+        ),
+    ),
+    (
+        # the Lemma 1 check that lemma1 runs on one cover, tychonoff runs on 20
+        "tychonoff", suites, "_single_factor_form", lambda space, result: False,
+        (
+            4, 0,
+            "extracted certificate mixes factors at factor 0: opens=[(0, 0), (1, 0), (1, 1)]; "
+            "factor 1: opens=[(0, 0), (1, 1)] (n=1)",
         ),
     ),
     (
@@ -154,7 +168,8 @@ FORCED_FAILURES = [
     ids=[f"{row[0]}-{row[2]}" for row in FORCED_FAILURES],
 )
 def test_a_failing_case_describes_its_instance(monkeypatch, suite, owner, name, replacement, expected):
-    # details are built only once a case fails; the text is the one they always had
+    # details are built only once a case fails; every product suite describes its
+    # factors one way: their opens, then the chain they share
     assert {row[0] for row in FORCED_FAILURES} == EXPECTED_SUITES
     monkeypatch.setattr(owner, name, replacement)
     report = run_suite(suite, 3, 4)
@@ -232,3 +247,81 @@ def test_a_defect_planted_between_runs_shows_in_the_next_run(monkeypatch, suite,
     assert (report.passed, report.failed, report.first_failure_case, report.first_failure_detail) == expected
     monkeypatch.undo()
     assert run_suite(suite, 5, 30) == SuiteReport(suite, 5, 30, 30, 0)
+
+
+# -- planted mutants of the product layer ------------------------------------------------
+
+# (owner, name, old, new, gate, expected): the real function recompiled with `old`
+# replaced by `new` makes the gate, a suite run (name, seed, cases), report
+# (passed, failed, first failing case, its detail)
+PRODUCT_LAYER_MUTANTS = [
+    # the extracted cover is pulled back along the first projection, whatever its factor
+    (
+        covers, "product_subbasic_subcover", "space.projections[j]", "space.projections[0]",
+        ("lemma1", 5, 30),
+        (23, 7, 1, "unhandled InputError: the set to pull back must live on the map's codomain"),
+    ),
+    (
+        covers, "product_subbasic_subcover", "space.projections[j]", "space.projections[0]",
+        ("tychonoff", 5, 6),
+        (
+            4, 2, 1,
+            "extracted certificate mixes factors at factor 0: opens=[(0, 0), (2, 2)]; "
+            "factor 1: opens=[(0, 0), (1, 0), (2, 0), (2, 2)] (n=2)",
+        ),
+    ),
+    # the continuity scan never looks at the family's first member
+    (
+        maps, "_first_non_open_preimage", "for o in family", "for o in family.members[1:]",
+        ("continuity", 5, 220),
+        (
+            209, 11, 14,
+            "base continuity test disagrees with the direct one at n=1, map=(0, 1, 0), "
+            "domain opens=[(0, 0, 0), (1, 1, 1)], codomain subbase=[(1, 0)]",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name, old, new, gate, expected",
+    PRODUCT_LAYER_MUTANTS,
+    ids=[f"{row[1]}-{row[4][0]}" for row in PRODUCT_LAYER_MUTANTS],
+)
+def test_a_planted_mutant_fails_its_gate(monkeypatch, owner, name, old, new, gate, expected):
+    monkeypatch.setattr(owner, name, planted(getattr(owner, name), old, new))
+    report = run_suite(*gate)
+    assert (report.passed, report.failed, report.first_failure_case, report.first_failure_detail) == expected
+
+
+def test_a_stone_sampler_accepting_hausdorff_spaces_is_an_equivalent_mutant(monkeypatch):
+    """No gate can catch this mutant: the product suites draw factors over chains
+    with n <= 2, and there a finite Hausdorff space is Stone.
+
+    For x != y the least open with the top value at x and the one at y are
+    disjoint, so the least open at x is the crisp point {x}, and every crisp set
+    is open.  The complement of an open u is the join over x of the value n - u(x)
+    at x: where u(x) = 0 that is the crisp point, where u(x) = n it is nothing, and
+    the only value between, 1 at n = 2, is u met with the crisp point.  So every
+    open is clopen, the space is zero-dimensional, and it is compact as every
+    valid finite space is.  The two predicates accept the same samples, which
+    consume the same draws.  That `is_stone` could replace the sampler's own
+    Hausdorff-and-zero-dimensional test rests on the same fact, `is_compact`
+    holding on every valid topology, and not on a gate.
+    """
+    verdicts = []  # every topology on 1 or 2 points over n = 1 or 2: the factors' scope
+    for size, n in itertools.product((1, 2), (1, 2)):
+        carrier, chain = Carrier(tuple("ab"[:size])), Chain(n)
+        sets = [FuzzySet(carrier, chain, v) for v in itertools.product(range(n + 1), repeat=size)]
+        for mask in range(1 << len(sets)):
+            family = FuzzyFamily(carrier, chain, [x for i, x in enumerate(sets) if mask >> i & 1])
+            if is_topology(family):
+                space = topology.Topology(carrier, chain, family)
+                verdicts.append((is_hausdorff(space), is_stone(space)))
+    assert len(verdicts) == 23 and verdicts.count((True, True)) == 8
+    assert all(hausdorff == stone for hausdorff, stone in verdicts)
+
+    weakened = planted(generators.random_stone_topology, "is_stone", "is_hausdorff")
+    before = run_suite("stone-product", 5, 30)
+    monkeypatch.setattr(suites, "random_stone_topology", weakened)
+    assert run_suite("stone-product", 5, 30) == before == SuiteReport("stone-product", 5, 30, 30, 0)
