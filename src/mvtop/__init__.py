@@ -1,14 +1,12 @@
 """Exact workbench for finite MV-topological spaces over finite Lukasiewicz chains.
 
 The package exports its names lazily (PEP 562): a name's module is imported on
-first access, so a command loads only the modules it runs.  `product` is bound
-at once: importing the submodule `mvtop.product` would rebind the package
-attribute of that name to the module.
+first access, so a command loads only the modules it runs, and nothing is bound
+at import.  `mvtop.product` is the submodule; its `product` function builds a
+product, as `ProductSpace` does.
 """
 
 import importlib
-
-from .product import product
 
 # each exported name's module
 _EXPORTS = {
@@ -39,7 +37,7 @@ _EXPORTS = {
     for name in names.split()
 }
 
-__all__ = sorted([*_EXPORTS, "product"])
+__all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"
 
 

@@ -406,9 +406,6 @@ class PointMap(Record):
     def identity(cls, carrier: Carrier) -> "PointMap":
         return cls(carrier, carrier, tuple(range(carrier.size)))
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def then(self, other: "PointMap") -> "PointMap":
         """Composite map: apply self first, then other."""
         if self.codomain != other.domain:

@@ -170,8 +170,6 @@ def minimal_additive_cover_search(
             best_vector = chosen + [0] * (k - idx)
             bound = total
             return
-        if idx == k:
-            return
         vals = members[idx].values
         for m in range(0, n + 1):
             nxt = [r - m * v for r, v in zip(residual, vals)] if m else residual

@@ -26,7 +26,9 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) -> None:
+def _require_keys(obj: object, required: set[str], optional: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise InputError(f"a {what} must be a JSON object")
     keys = set(obj)
     missing = required - keys
     if missing:
@@ -49,6 +51,10 @@ def _parse_name(obj: dict) -> str | None:
     if name is not None and not isinstance(name, str):
         raise InputError("name must be a string")
     return name
+
+
+def _named(doc: SpaceDocument | MapDocument | MetricDocument) -> dict[str, object]:
+    return {} if doc.name is None else {"name": doc.name}
 
 
 def _parse_vectors(raw: object, carrier: Carrier, chain: Chain, what: str) -> FuzzyFamily:
@@ -116,8 +122,6 @@ class SpaceDocument(Record):
 
 
 def parse_space_document(obj: object) -> SpaceDocument:
-    if not isinstance(obj, dict):
-        raise InputError("a space document must be a JSON object")
     _require_keys(obj, {"chain", "points"}, {"subbase", "opens", "name", "caps"}, "space document")
     declared = [k for k in ("subbase", "opens") if k in obj]
     if len(declared) != 1:
@@ -131,9 +135,7 @@ def parse_space_document(obj: object) -> SpaceDocument:
 
 
 def space_document_to_obj(doc: SpaceDocument) -> dict:
-    out: dict[str, object] = {}
-    if doc.name is not None:
-        out["name"] = doc.name
+    out = _named(doc)
     out["chain"] = doc.chain.n
     out["points"] = list(doc.carrier.points)
     out[doc.kind] = [list(m.values) for m in doc.family.members]
@@ -143,8 +145,6 @@ def space_document_to_obj(doc: SpaceDocument) -> dict:
 
 
 def parse_family_document(obj: object) -> SpaceDocument:
-    if not isinstance(obj, dict):
-        raise InputError("a family document must be a JSON object")
     _require_keys(obj, {"chain", "points", "family"}, {"name"}, "family document")
     chain, carrier = _parse_header(obj, "family document")
     family = _parse_vectors(obj["family"], carrier, chain, "family")
@@ -163,8 +163,6 @@ class MapDocument(Record):
 
 
 def parse_map_document(obj: object, *, base_dir: Path | None = None) -> MapDocument:
-    if not isinstance(obj, dict):
-        raise InputError("a map document must be a JSON object")
     _require_keys(obj, {"domain", "codomain", "map"}, {"name"}, "map document")
 
     def resolve(value: object, what: str) -> SpaceDocument:
@@ -185,9 +183,7 @@ def parse_map_document(obj: object, *, base_dir: Path | None = None) -> MapDocum
 
 
 def map_document_to_obj(doc: MapDocument) -> dict:
-    out: dict[str, object] = {}
-    if doc.name is not None:
-        out["name"] = doc.name
+    out = _named(doc)
     out["domain"] = space_document_to_obj(doc.domain)
     out["codomain"] = space_document_to_obj(doc.codomain)
     out["map"] = list(doc.map.images)
@@ -208,8 +204,6 @@ class MetricDocument(Record):
 def parse_metric_document(obj: object) -> MetricDocument:
     from .metric import FuzzyPoint, MetricInstance
 
-    if not isinstance(obj, dict):
-        raise InputError("a metric document must be a JSON object")
     _require_keys(obj, {"chain", "points", "dist"}, {"name", "centers", "radii"}, "metric document")
     chain, carrier = _parse_header(obj, "metric document")
     rows = obj["dist"]
@@ -243,9 +237,7 @@ def parse_metric_document(obj: object) -> MetricDocument:
 
 
 def metric_document_to_obj(doc: MetricDocument) -> dict:
-    out: dict[str, object] = {}
-    if doc.name is not None:
-        out["name"] = doc.name
+    out = _named(doc)
     out["chain"] = doc.metric.chain.n
     out["points"] = list(doc.metric.carrier.points)
     out["dist"] = [[render_rational(d) for d in row] for row in doc.metric.dist]

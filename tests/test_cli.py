@@ -602,6 +602,7 @@ LOAD_FILES = {
 DOCUMENTS = {"mvtop.documents", "json"}
 SOLVERS = {"mvtop.covers"}
 SUITE = {"mvtop.suites", "mvtop.generators"}
+PRODUCT = {"mvtop.product"}
 
 # argv -> the watched modules it needs, beyond those every command loads
 LOADS = {
@@ -616,8 +617,8 @@ LOADS = {
     ("check", "zerodim", "space.json"): DOCUMENTS,
     ("check", "stone", "space.json"): DOCUMENTS,
     ("check", "large-subbase", "space.json"): DOCUMENTS,
-    ("product", "space.json", "space.json"): DOCUMENTS,
-    ("product", "--subbase-only", "space.json"): DOCUMENTS,
+    ("product", "space.json", "space.json"): DOCUMENTS | PRODUCT,
+    ("product", "--subbase-only", "space.json"): DOCUMENTS | PRODUCT,
     ("mincover", "family.json"): DOCUMENTS | SOLVERS,
     ("subcover", "family.json"): DOCUMENTS | SOLVERS,
     ("metric", "metric.json"): DOCUMENTS | {"mvtop.metric", "fractions"},
@@ -627,12 +628,12 @@ LOADS = {
     ("verify", "algebra", "--cases", "1"): SUITE,
     ("verify", "generation", "--cases", "1"): SUITE | {"mvtop.oracles"},
     ("verify", "continuity", "--cases", "1"): SUITE | {"mvtop.maps"},
-    ("verify", "tychonoff", "--cases", "1"): SUITE | SOLVERS | {"mvtop.oracles"},
-    ("verify", "hausdorff-product", "--cases", "1"): SUITE,
-    ("verify", "zerodim-product", "--cases", "1"): SUITE,
-    ("verify", "stone-product", "--cases", "1"): SUITE,
+    ("verify", "tychonoff", "--cases", "1"): SUITE | PRODUCT | SOLVERS | {"mvtop.oracles"},
+    ("verify", "hausdorff-product", "--cases", "1"): SUITE | PRODUCT,
+    ("verify", "zerodim-product", "--cases", "1"): SUITE | PRODUCT,
+    ("verify", "stone-product", "--cases", "1"): SUITE | PRODUCT,
     ("verify", "alexander-claims", "--cases", "1"): SUITE,
-    ("verify", "lemma1", "--cases", "1"): SUITE | SOLVERS,
+    ("verify", "lemma1", "--cases", "1"): SUITE | PRODUCT | SOLVERS,
 }
 
 
@@ -644,8 +645,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    # runpy runs mvtop.cli as __main__; the package binds product at once
-    common = {"mvtop.core", "mvtop.errors", "mvtop.product", "mvtop.topology"}
+    # runpy runs mvtop.cli as __main__; the package binds nothing at import
+    common = {"mvtop.core", "mvtop.errors", "mvtop.topology"}
     for argv, needed in LOADS.items():
         proc = subprocess.run(
             [sys.executable, "-S", "-c", LOAD_PROBE, *argv],
@@ -678,6 +679,18 @@ def test_the_program_needs_only_the_standard_library():
     )
     assert proc.returncode == 0
     assert proc.stdout.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("document, code", [(DISCRETE, 0), (INDISCRETE, 1), ({"chain": 1}, 2)])
+def test_the_console_script_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys, document, code):
+    # `run` is the target of the `mvtop` script that pyproject.toml declares
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["mvtop", "check", "hausdorff", str(path)])
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == code
+    assert capsys.readouterr().out.startswith('{\n  "check": "hausdorff"') is (code != 2)
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from mvtop import (
     is_cover,
     is_strongly_compact,
     mv_preimage,
-    product,
     product_subbasic_subcover,
     term_witness,
 )
@@ -39,6 +38,7 @@ from mvtop.oracles import (
     exhaustive_minimal_subcover,
     term_witness_exists,
 )
+from mvtop.product import product
 
 CH1 = Chain(1)
 CH2 = Chain(2)

@@ -58,7 +58,10 @@ def assert_lanes_agree(k, n, vectors):
             assert (x < y) is (a < b)  # int order is the canonical order
 
 
-@pytest.mark.parametrize("k, n", [(1, 1), (3, 1), (1, 1000), (2, 1000), (4, 1000), (2, 4), (5, 3)])
+EDGE_SHAPES = [(1, 1), (3, 1), (1, 1000), (2, 1000), (4, 1000), (2, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("k, n", EDGE_SHAPES)
 def test_lane_ops_match_chain_ops_at_the_edges(k, n):
     assert_lanes_agree(k, n, edge_vectors(k, n))
 

@@ -1,0 +1,119 @@
+"""Planted mutants of the closure, validation, lane and predicate fast paths.
+
+Each mutant is the real function recompiled from its source with one edit.  It
+replaces the function wherever a module binds it by name, and only the gate
+that names it is run against it: the gate must fail.
+"""
+
+import sys
+
+import pytest
+
+import test_cli
+import test_lanes
+import test_topology
+from mvtop import core, topology
+from test_families import planted
+
+
+def plant(monkeypatch, owner, name, old, new):
+    """Bind the mutant of owner.name in its owner and in every mvtop or test
+    module that imported the original by name."""
+    original = getattr(owner, name)
+    mutant = planted(original, old, new)
+    monkeypatch.setattr(owner, name, mutant)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "mvtop" or module_name.startswith("test_"):
+            for bound, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, bound, mutant)
+
+
+def lane_ops_at_the_edges():
+    for k, n in test_lanes.EDGE_SHAPES:
+        test_lanes.test_lane_ops_match_chain_ops_at_the_edges(k, n)
+
+
+SEEDED_GENERATION = test_topology.test_generation_matches_naive_oracle_on_samples
+BROKEN_FAMILIES = test_lanes.test_violation_on_broken_families_matches_reference_scan
+SEEDED_HAUSDORFF = test_lanes.test_closed_form_hausdorff_matches_the_pair_search_on_seeded_topologies
+
+# (id, owner, name, old, new, gate)
+MUTANTS = [
+    # closure: base_from_subbase loses one of its operations
+    ("closure-oplus", topology, "base_from_subbase", "lanes.oplus(x, y), ", "", SEEDED_GENERATION),
+    ("closure-odot", topology, "base_from_subbase", "lanes.odot(x, y), ", "", SEEDED_GENERATION),
+    # both seeded generation gates miss this one: only the pinned subbase has a
+    # meet that oplus, odot and join never reach
+    (
+        "closure-meet", topology, "base_from_subbase", ", lanes.meet(x, y)", "",
+        test_topology.test_generation_reaches_a_meet_that_no_other_operation_reaches,
+    ),
+    # generation never joins the last base member into the opens
+    (
+        "closure-last-join", topology, "generate_from_subbase",
+        "for b in base.packed:", "for b in base.packed[:-1]:", SEEDED_GENERATION,
+    ),
+    # validation: topology_violation skips one of its tests
+    (
+        "violation-join", topology, "topology_violation",
+        '("join", lanes.join, members),', "", BROKEN_FAMILIES,
+    ),
+    (
+        "violation-oplus", topology, "topology_violation",
+        '("oplus", lanes.oplus, irreducible),', "", BROKEN_FAMILIES,
+    ),
+    (
+        "violation-odot", topology, "topology_violation",
+        '("odot", lanes.odot, irreducible),', "", BROKEN_FAMILIES,
+    ),
+    (
+        "violation-zero", topology, "topology_violation",
+        "if 0 not in present:", "if False:", BROKEN_FAMILIES,
+    ),
+    (
+        "violation-unit", topology, "topology_violation",
+        "if lanes.top not in present:", "if False:", BROKEN_FAMILIES,
+    ),
+    # predicates
+    (
+        "hausdorff-adjacent", topology, "check_hausdorff",
+        "range(x + 1, size)", "range(x + 2, size)", SEEDED_HAUSDORFF,
+    ),
+    (
+        "base-witness-candidates", topology, "base_witness", "if m not in opens:", "if False:",
+        test_lanes.test_base_witness_reports_a_candidate_that_is_not_open,
+    ),
+    (
+        "base-witness-last-open", topology, "base_witness",
+        "for x in opens.packed:", "for x in opens.packed[:-1]:",
+        test_lanes.test_base_witness_matches_reference_scan,
+    ),
+    # the unit set, last in canonical order, is always clopen
+    (
+        "clopens-drop", topology, "clopens",
+        "for o in opens if", "for o in opens.members[:-1] if", SEEDED_HAUSDORFF,
+    ),
+    (
+        "large-subbase-short", topology, "large_subbase_witness",
+        "range(2, family.chain.n + 1)", "range(2, family.chain.n)", test_cli.test_check_large_subbase,
+    ),
+    # the lane kernel: a select mask that is not widened from its guard bit
+    (
+        "lanes-meet", core.Lanes, "meet",
+        "(a ^ b) & (g - (g >> self.shift))", "(a ^ b) & g", lane_ops_at_the_edges,
+    ),
+    (
+        "lanes-oplus", core.Lanes, "oplus",
+        "(s ^ self.top) & (g - (g >> self.shift))", "(s ^ self.top) & g", lane_ops_at_the_edges,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name, old, new, gate", [row[1:] for row in MUTANTS], ids=[row[0] for row in MUTANTS]
+)
+def test_a_planted_mutant_fails_its_gate(monkeypatch, owner, name, old, new, gate):
+    plant(monkeypatch, owner, name, old, new)
+    with pytest.raises(AssertionError):
+        gate()

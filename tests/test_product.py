@@ -18,11 +18,11 @@ from mvtop import (
     is_stone,
     is_zero_dimensional,
     mv_preimage,
-    product,
     tupling,
     verify_universal_property,
 )
 from mvtop.generators import case_rng, random_hausdorff_topology
+from mvtop.product import product
 
 CH1 = Chain(1)
 CH2 = Chain(2)

@@ -426,7 +426,7 @@ def test_defaults_fill_the_fields_left_out():
 
 
 def test_every_exported_name_resolves():
-    assert "product" in mvtop.__all__ and "FuzzyPoint" in mvtop.__all__
+    assert "ProductSpace" in mvtop.__all__ and "FuzzyPoint" in mvtop.__all__
     for name in mvtop.__all__:
         assert getattr(mvtop, name) is not None
     assert set(mvtop.__all__) <= set(dir(mvtop))
@@ -434,13 +434,12 @@ def test_every_exported_name_resolves():
         mvtop.no_such_name
 
 
-def test_product_stays_the_function_after_its_module_is_imported():
-    import mvtop.product  # noqa: F401 - binds the submodule attribute, as an import does
-
+def test_product_is_the_submodule_and_its_function_stays_in_it():
     from mvtop import product
 
-    assert callable(product) and product.__module__ == "mvtop.product"
-    assert product is sys.modules["mvtop.product"].product is mvtop.product
+    assert "product" not in mvtop.__all__
+    assert product is sys.modules["mvtop.product"] is mvtop.product
+    assert callable(product.product) and product.product.__module__ == "mvtop.product"
 
 
 def test_fuzzy_set_keeps_its_traced_methods_in_its_own_class():

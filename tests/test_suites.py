@@ -12,6 +12,7 @@ from mvtop import (
     FuzzySet,
     covers,
     generate_from_subbase,
+    indiscrete,
     is_hausdorff,
     is_stone,
     is_topology,
@@ -80,6 +81,27 @@ def test_generators_treat_a_cap_error_as_a_rejected_sample():
     assert len(topology.opens) <= 64
 
 
+def test_random_topology_falls_back_to_the_indiscrete_topology(monkeypatch):
+    calls = []
+    real = generators._generate_or_none
+    monkeypatch.setattr(generators, "_generate_or_none", lambda *a: calls.append(a) or real(*a))
+    carrier, chain = Carrier(("a", "b")), Chain(2)
+    # every topology has at least two opens, 0 and 1, so a cap of one rejects every sample
+    assert random_topology(case_rng(0, 0), carrier, chain, max_opens=1) == indiscrete(carrier, chain)
+    assert len(calls) == 50
+
+
+def test_random_compact_pair_falls_back_to_the_indiscrete_product(monkeypatch):
+    calls = []
+    real = product_module.product
+    monkeypatch.setattr(product_module, "product", lambda factors: calls.append(factors) or real(factors))
+    monkeypatch.setattr(generators, "PAIR_PRODUCT_OPENS", 0)  # no product is that small
+    space = generators.random_compact_pair(case_rng(0, 0))
+    assert len(calls) == 201  # 200 rejected samples, then the fallback
+    assert len(space.factors) == 2 and space.chain == Chain(1)
+    assert all(factor == indiscrete(factor.carrier, Chain(1)) for factor in space.factors)
+
+
 # -- failure details ------------------------------------------------------------------
 
 # (suite, owner, name, replacement): a defect that makes the suite fail at seed 3,
@@ -94,8 +116,37 @@ FORCED_FAILURES = [
         (1, 1, "pointwise characteristic identity fails at n=5, alpha=(0, 1, 5), beta=(2, 4, 5)"),
     ),
     (
+        "generation", oracles, "naive_generate_opens",
+        lambda subbase: FuzzyFamily(subbase.carrier, subbase.chain),
+        (4, 0, "fixpoint generation disagrees with the naive closure on n=1, points=('a', 'b'), subbase=[]"),
+    ),
+    (
+        "generation", suites, "is_topology", lambda family: False,
+        (4, 0, "generated family is not a topology at n=1, subbase=[]"),
+    ),
+    (
         "generation", suites, "is_subbase", lambda candidate, topology: False,
         (4, 0, "the generator family is not a subbase of its own topology at n=1, subbase=[]"),
+    ),
+    (
+        # a base closure that drops its last member loses one more on every call
+        "generation", suites, "base_from_subbase",
+        lambda family: FuzzyFamily(family.carrier, family.chain, family.members[:-1]),
+        (1, 2, "base closure is not idempotent at n=2, subbase=[(1, 0), (1, 1), (2, 1)]"),
+    ),
+    (
+        # the bigger subbase is the extra set alone
+        "generation", FuzzyFamily, "with_members",
+        lambda self, extra: FuzzyFamily(self.carrier, self.chain, extra),
+        (2, 1, "base closure is not monotone at n=2, subbase=[(0, 2)]"),
+    ),
+    (
+        "generation", suites, "closed_sets", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
+        (4, 0, "closed sets are not closed under the dual operations at n=1, subbase=[]"),
+    ),
+    (
+        "generation", suites, "clopens", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
+        (4, 0, "clopens do not form a topology at n=1, subbase=[]"),
     ),
     (
         "continuity", maps, "is_continuous_via_base", lambda f, domain, base: None,
@@ -129,6 +180,30 @@ FORCED_FAILURES = [
             4, 0,
             "product of separated factors is not separated at factor 0: opens=[(0, 0), (0, 1), "
             "(1, 0), (1, 1)]; factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
+        ),
+    ),
+    (
+        "hausdorff-product", suites, "mv_preimage", lambda f, alpha: FuzzySet.zero(f.domain, alpha.chain),
+        (
+            4, 0,
+            "lifted witnesses miss the top value at factor 0: opens=[(0, 0), (0, 1), (1, 0), (1, 1)]; "
+            "factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
+        ),
+    ),
+    (
+        "hausdorff-product", FuzzySet, "meet", lambda self, other: self,
+        (
+            4, 0,
+            "lifted witnesses are not disjoint at factor 0: opens=[(0, 0), (0, 1), (1, 0), (1, 1)]; "
+            "factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
+        ),
+    ),
+    (
+        "hausdorff-product", FuzzyFamily, "__contains__", lambda self, item: False,
+        (
+            4, 0,
+            "lifted witnesses are not open in the product at factor 0: opens=[(0, 0), (0, 1), (1, 0), "
+            "(1, 1)]; factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
         ),
     ),
     (
@@ -292,6 +367,19 @@ def test_a_planted_mutant_fails_its_gate(monkeypatch, owner, name, old, new, gat
     monkeypatch.setattr(owner, name, planted(getattr(owner, name), old, new))
     report = run_suite(*gate)
     assert (report.passed, report.failed, report.first_failure_case, report.first_failure_detail) == expected
+
+
+def test_the_generation_suite_reports_a_closure_without_meet_as_found(monkeypatch):
+    # the failing subbase is reported whole: the suite does not shrink it to the
+    # two members whose meet is lost
+    without_meet = planted(topology.base_from_subbase, ", lanes.meet(x, y)", "")
+    monkeypatch.setattr(topology, "base_from_subbase", without_meet)
+    report = run_suite("generation", 5, 45)
+    assert (report.passed, report.failed, report.first_failure_case, report.first_failure_detail) == (
+        44, 1, 37,
+        "fixpoint generation disagrees with the naive closure on n=2, points=('a', 'b', 'c'), "
+        "subbase=[(0, 1, 2), (1, 1, 2), (1, 2, 1)]",
+    )
 
 
 def test_a_stone_sampler_accepting_hausdorff_spaces_is_an_equivalent_mutant(monkeypatch):

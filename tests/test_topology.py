@@ -126,6 +126,16 @@ def test_generation_matches_naive_oracle_on_samples():
         assert generate_from_subbase(subbase).opens == naive_generate_opens(subbase)
 
 
+def test_generation_reaches_a_meet_that_no_other_operation_reaches():
+    # the smallest subbase where dropping the meet from the closure shows: the
+    # meet of its members is open, and oplus, odot and join never produce it
+    abc = Carrier(("a", "b", "c"))
+    subbase = family(abc, CH2, (1, 1, 2), (1, 2, 1))
+    opens = generate_from_subbase(subbase).opens
+    assert FuzzySet(abc, CH2, (1, 1, 1)) in opens
+    assert opens == naive_generate_opens(subbase)
+
+
 def test_base_closure_is_monotone_and_idempotent():
     subbase = family(AB, CH2, (1, 0))
     bigger = family(AB, CH2, (1, 0), (0, 2))
