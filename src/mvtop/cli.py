@@ -9,18 +9,27 @@ document cap of `gen`, allows.  A flag that would be ignored is refused (exit
 2): `--oracle` on `check` kinds other than compact and strong-compact, `check
 --max-opens` without `--oracle`, and `--max-opens` with `--subbase-only`.
 Output is canonical, so a rerun on identical input produces byte-identical
-bytes.
+bytes.  A report that cannot be written (a full disk, a closed pipe, no
+stdout) is one `error: cannot write the output: ...` line on stderr and exit
+2; an error line that stderr cannot take is dropped, and the exit code stays.
 
 Every command runs in a fresh process, where importing the package can cost
 more than the computation, so a command imports what only it runs inside its
 function: the solvers, maps, products, metrics and suites, and `documents`
 (with `json`), which the helpers that read or write a document import; `verify`
 reads and writes none.  At module level the CLI loads only the topology core.
+For the same reason `run`, the entry of `python -m mvtop.cli` and of the
+`mvtop` script, ends the process with `os._exit` once `main` has written and
+flushed its report: the interpreter does not tear down its modules and objects.
+An exception that escapes `main` still takes the normal exit, with its
+traceback.  To profile a command, wrap `main` in process: `python -m cProfile
+-m mvtop.cli` prints the report, but the process ends before the profile.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import InputError, PreconditionError, ResourceLimitError
@@ -366,29 +375,52 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help, or a usage error already on stderr
+        return _emit("", int(exc.code or 0))
     try:
         report = args.func(args)
     except (InputError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     if isinstance(report, dict):
         from .documents import dumps_canonical
 
-        sys.stdout.write(dumps_canonical(report))
-        return 0 if report.get("verdict", True) and report.get("feasible", True) else 1
+        code = 0 if report.get("verdict", True) and report.get("feasible", True) else 1
+        return _emit(dumps_canonical(report), code)
     from . import suites  # only verify, which has loaded it, returns a suite report
 
-    sys.stdout.write(suites.render_report(report))
-    return 0 if report.all_passed else 1
+    return _emit(suites.render_report(report), 0 if report.all_passed else 1)
+
+
+def _emit(text: str, code: int) -> int:
+    """Write the report and flush stdout; `code`, or 2 if stdout cannot take it."""
+    try:
+        if sys.stdout is None:  # the process started with stdout closed
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        return _error(f"cannot write the output: {exc}", 2)
+    return code
+
+
+def _error(message: object, code: int) -> int:
+    """Report an error on one stderr line, if stderr takes it; returns the exit code."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return code
 
 
 def run() -> None:
-    sys.exit(main())
+    """The `mvtop` entry: `main`, then the process ends without interpreter teardown.
+
+    `main` has flushed its report, so nothing is lost; an exception escaping it
+    still leaves through the normal exit, with its traceback.
+    """
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -385,6 +385,17 @@ class Lanes:
         return acc
 
 
+_LANES: dict[tuple[int, int], Lanes] = {}
+
+
+def _lanes(size: int, n: int) -> Lanes:
+    """The `Lanes` of one carrier size and chain, built once: it depends on nothing else."""
+    lanes = _LANES.get((size, n))
+    if lanes is None:
+        lanes = _LANES[size, n] = Lanes(size, n)
+    return lanes
+
+
 class PointMap(Record):
     """A function between carriers, given by the codomain index of each point."""
 
@@ -449,7 +460,7 @@ class FuzzyFamily(Record):
     __slots__ = ("carrier", "chain", "lanes", "packed", "present", "_members")
 
     def __init__(self, carrier: Carrier, chain: Chain, members: Iterable[FuzzySet] = ()):
-        lanes = Lanes(carrier.size, chain.n)
+        lanes = _lanes(carrier.size, chain.n)
         by_packed = {}
         for m in members:
             if m.carrier is not carrier or m.chain is not chain:

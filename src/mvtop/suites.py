@@ -271,7 +271,11 @@ def _single_factor_form(space, result) -> bool:
 
 def _extraction_failure(space, entries) -> str | None:
     """Lemma 1 on a subbasic cover of the product: what is wrong with the
-    additive cover extracted from it, or None."""
+    additive cover extracted from it, or None.
+
+    `product_subbasic_subcover` asserts that its certificate validates, so the
+    first failure below is reachable only where asserts are off (`python -O`).
+    """
     from .covers import is_additive_cover, product_subbasic_subcover
 
     result = product_subbasic_subcover(space, entries)

@@ -9,8 +9,8 @@ and source.  A statement is a line where one starts and where the compiled code
 can report a line event, so docstrings and `global` declarations do not count.
 
 Lines that run only in a subprocess show as not run.  Among them are the CLI
-probes that start `python -m mvtop.cli`, the `-S` module-load test, and the
-hashes recorded in a fresh interpreter.  Tracing makes the test run about four
+probes that start `python -m mvtop.cli`, the `-S` module-load test, the
+hashes recorded in a fresh interpreter, and `cli.run`, which ends its process.  Tracing makes the test run about four
 times slower, so CI does not run this script.  It needs only the standard
 library and pytest.
 """

@@ -580,10 +580,13 @@ def test_verify_unknown_suite_exits_2():
 
 
 # A fresh `python -S` runs each command through runpy, as `python -m mvtop.cli`
-# would, then prints the modules it loaded on a last line of its own.
+# would, then prints the modules it loaded on a last line of its own.  `run`
+# ends the process with `os._exit`; the probe makes that a `sys.exit`, so that
+# it outlives the command.
 LOAD_PROBE = """
-import runpy, sys
+import os, runpy, sys
 sys.argv = ["mvtop", *sys.argv[1:]]
+os._exit = sys.exit
 try:
     runpy.run_module("mvtop.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -681,16 +684,80 @@ def test_the_program_needs_only_the_standard_library():
     assert proc.stdout.endswith("result: PASS\n")
 
 
+def run_process(argv, cwd, entry=("-m", "mvtop.cli"), **streams):
+    """`python -m mvtop.cli *argv` in a fresh process; its exit code, stdout and stderr.
+
+    `run` ends the process without the interpreter's final flush, so `main` must
+    flush the report itself; stdout is block-buffered here, as by default.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    proc = subprocess.run([sys.executable, *entry, *argv], cwd=cwd, env=env, text=True, timeout=60, **streams)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("document, code", [(DISCRETE, 0), (INDISCRETE, 1), ({"chain": 1}, 2)])
-def test_the_console_script_exits_with_the_code_of_main(tmp_path, monkeypatch, capsys, document, code):
-    # `run` is the target of the `mvtop` script that pyproject.toml declares
-    path = tmp_path / "space.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
-    monkeypatch.setattr(sys, "argv", ["mvtop", "check", "hausdorff", str(path)])
-    with pytest.raises(SystemExit) as exited:
-        cli.run()
-    assert exited.value.code == code
-    assert capsys.readouterr().out.startswith('{\n  "check": "hausdorff"') is (code != 2)
+def test_the_console_script_exits_with_the_code_of_main(tmp_path, document, code):
+    # `run` is the target of the `mvtop` script that pyproject.toml declares; it
+    # ends its process, so it runs in one of its own
+    (tmp_path / "space.json").write_text(json.dumps(document), encoding="utf-8")
+    argv = ["check", "hausdorff", "space.json"]
+    result = run_process(argv, tmp_path, entry=("-c", "from mvtop.cli import run; run()"))
+    assert result == run_cli([*argv[:2], str(tmp_path / "space.json")])
+    assert result[0] == code
+    assert result[1].startswith('{\n  "check": "hausdorff"') is (code != 2)
+
+
+def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path):
+    # the process ends without flushing at exit, so `main` must have flushed it all
+    points = [f"p{i}" for i in range(10)]
+    singletons = [[int(i == j) for j in range(10)] for i in range(10)]
+    (tmp_path / "crisp.json").write_text(doc({"chain": 1, "points": points, "subbase": singletons}))
+    code, out, err = run_process(["gen", "crisp.json"], tmp_path)
+    assert len(out) > 100_000
+    assert (code, out, err) == run_cli(["gen", str(tmp_path / "crisp.json")])
+
+
+CANNOT_WRITE = ["gen", "space.json"], ["check", "hausdorff", "space.json"], ["verify", "algebra", "--cases", "3"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", CANNOT_WRITE, ids=lambda argv: argv[0])
+def test_a_full_stdout_is_an_error_line_and_exit_2(tmp_path, argv):
+    (tmp_path / "space.json").write_text(doc(DISCRETE))
+    with open("/dev/full", "w") as full:
+        assert run_process(argv, tmp_path, stdout=full) == (
+            2, None, "error: cannot write the output: [Errno 28] No space left on device\n"
+        )
+        # with stderr full too, the error line is lost, but not the exit code
+        assert run_process(argv, tmp_path, stdout=full, stderr=full) == (2, None, None)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_an_error_line_that_cannot_be_written_keeps_its_exit_code(tmp_path):
+    with open("/dev/full", "w") as full:
+        assert run_process(["gen", "missing.json"], tmp_path, stderr=full) == (2, "", None)
+
+
+@pytest.mark.parametrize("argv", CANNOT_WRITE, ids=lambda argv: argv[0])
+def test_a_closed_stdout_pipe_is_an_error_line_and_exit_2(tmp_path, argv):
+    (tmp_path / "space.json").write_text(doc(DISCRETE))
+    read, write = os.pipe()
+    os.close(read)  # before the process starts: every write to the pipe fails
+    try:
+        result = run_process(argv, tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert result == (2, None, "error: cannot write the output: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", CANNOT_WRITE, ids=lambda argv: argv[0])
+def test_no_stdout_at_all_is_an_error_line_and_exit_2(tmp_path, argv):
+    # the process starts with descriptor 1 closed, as under `mvtop ... >&-`
+    (tmp_path / "space.json").write_text(doc(DISCRETE))
+    result = run_process(argv, tmp_path, preexec_fn=lambda: os.close(1))
+    assert result == (2, "", "error: cannot write the output: stdout is closed\n")
 
 
 @pytest.mark.parametrize(

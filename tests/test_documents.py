@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mvtop import InputError
+from mvtop import Carrier, Chain, InputError, PointMap, indiscrete
 from mvtop.documents import (
     dumps_canonical,
     loads_document,
@@ -18,6 +18,8 @@ from mvtop.documents import (
     render_rational,
     space_document_to_obj,
 )
+from mvtop.metric import FuzzyPoint, metric_ball_family
+from mvtop.product import product, tupling
 
 
 def test_space_document_roundtrip():
@@ -127,3 +129,87 @@ def test_canonical_serialization_is_stable():
 def test_malformed_json_is_an_input_error():
     with pytest.raises(InputError):
         loads_document("{not json", "the space")
+
+
+AB = {"chain": 2, "points": ["a", "b"]}
+METRIC = {**AB, "dist": [[0, 1], [1, 0]]}
+
+
+def _tupling(*maps):
+    """`tupling` of maps given as (domain size, codomain size, images) into a 2 x 1 product."""
+    carriers = {k: Carrier(tuple("abc"[:k])) for k in (1, 2, 3)}
+    space = product([indiscrete(carriers[k], Chain(1)) for k in (2, 1)])
+    return tupling([PointMap(carriers[d], carriers[c], images) for d, c, images in maps], space)
+
+
+# each malformed input, and the one error it is rejected with
+REJECTIONS = {
+    "cap not an integer": (
+        lambda: parse_space_document({**AB, "opens": [], "caps": {"max_opens": "9"}}),
+        "cap max_opens must be an integer, got '9'",
+    ),
+    "name not a string": (
+        lambda: parse_family_document({**AB, "family": [], "name": 7}),
+        "name must be a string",
+    ),
+    "vectors not a list": (
+        lambda: parse_space_document({**AB, "subbase": {"a": 1}}),
+        "subbase must be a list of value vectors",
+    ),
+    "caps not an object": (
+        lambda: parse_space_document({**AB, "opens": [], "caps": [1]}),
+        "caps must be an object",
+    ),
+    "cap below 1": (
+        lambda: parse_space_document({**AB, "opens": [], "caps": {"max_opens": 0}}),
+        "cap max_opens must be >= 1",
+    ),
+    "distance a boolean": (
+        lambda: parse_metric_document({**AB, "dist": [[0, True], [True, 0]]}),
+        "distance must be an integer or 'p/q' string, got True",
+    ),
+    "centers not a list": (
+        lambda: parse_metric_document({**METRIC, "centers": {"a": 1}}),
+        "centers must be a list of [label, value] pairs",
+    ),
+    "center not a pair": (
+        lambda: parse_metric_document({**METRIC, "centers": [["a", 1, 2]]}),
+        "each center must be a [label, value] pair",
+    ),
+    "radii not a list": (
+        lambda: parse_metric_document({**METRIC, "radii": "1"}),
+        "radii must be a list of rationals",
+    ),
+    "nested too deeply": (
+        lambda: loads_document("[" * 100_000, "'-'"),
+        "'-' is nested too deeply to parse",
+    ),
+    "distance matrix not square": (
+        lambda: parse_metric_document({**AB, "dist": [[0, 1], [1]]}),
+        "distance matrix shape does not match the carrier",
+    ),
+    "negative distance": (
+        lambda: parse_metric_document({**AB, "dist": [[0, -1], [-1, 0]]}),
+        "distances must be nonnegative",
+    ),
+    "center off the carrier": (
+        lambda: metric_ball_family(parse_metric_document(METRIC).metric, [FuzzyPoint(2, 1)], [1]),
+        "2 is not a valid point index",
+    ),
+    "too few maps": (lambda: _tupling((1, 2, (0,))), "one map per factor is required"),
+    "maps from two domains": (
+        lambda: _tupling((1, 2, (0,)), (2, 1, (0, 0))),
+        "all maps must share one domain",
+    ),
+    "map off its factor": (
+        lambda: _tupling((1, 2, (0,)), (1, 3, (2,))),
+        "map 1 does not land in factor 1's carrier",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, message", REJECTIONS.values(), ids=REJECTIONS)
+def test_each_rejection_names_what_is_wrong(make, message):
+    with pytest.raises(InputError) as rejected:
+        make()
+    assert str(rejected.value) == message

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import event, example, given
@@ -20,6 +21,7 @@ from mvtop import (
     clopens,
     generate_from_subbase,
 )
+from mvtop import core
 from mvtop.core import Lanes
 from mvtop.generators import (
     case_rng,
@@ -29,6 +31,7 @@ from mvtop.generators import (
     random_topology,
 )
 from mvtop.oracles import naive_check_hausdorff, naive_generate_opens
+from mvtop.suites import run_suite
 from mvtop.topology import topology_violation
 
 
@@ -296,3 +299,18 @@ def test_closed_form_hausdorff_matches_the_pair_search_on_drawn_subbases(data):
     except ResourceLimitError:
         return
     assert_hausdorff_and_clopens_agree(topology)
+
+
+def test_each_shape_builds_its_lanes_once(monkeypatch):
+    # a suite run builds many families over a handful of shapes
+    built, families = Counter(), []
+    lanes_init, family_init = Lanes.__init__, FuzzyFamily.__init__
+    monkeypatch.setattr(core, "_LANES", {})
+    monkeypatch.setattr(Lanes, "__init__", lambda self, k, n: built.update([(k, n)]) or lanes_init(self, k, n))
+    monkeypatch.setattr(
+        FuzzyFamily, "__init__", lambda self, *args: families.append(1) or family_init(self, *args)
+    )
+    for name in ("zerodim-product", "lemma1"):
+        assert run_suite(name, 5, 20).all_passed
+    assert max(built.values()) == 1
+    assert len(families) > 10 * len(built)

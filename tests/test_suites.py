@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,8 @@ from mvtop import (
     suites,
     topology,
 )
-from mvtop import generators
+from mvtop import cli, generators
+from mvtop.core import PointMap
 from mvtop.generators import case_rng, one_run, random_hausdorff_topology, random_topology
 from mvtop.suites import SUITES, SuiteReport, render_report, run_suite
 from test_families import planted
@@ -104,64 +106,145 @@ def test_random_compact_pair_falls_back_to_the_indiscrete_product(monkeypatch):
 
 # -- failure details ------------------------------------------------------------------
 
-# (suite, owner, name, replacement): a defect that makes the suite fail at seed 3,
-# with the failure count, the first failing case and its detail text
+# (suite, owner, name, replacement, expected): a defect that makes the suite fail at
+# seed 3 within 6 cases, with the failure count, the first failing case and its
+# detail text; every failure return of every suite has a row, except the
+# extracted certificate that does not validate (see `_extraction_failure`)
 FORCED_FAILURES = [
     (
         "algebra", Chain, "add", lambda self, a, b: min(self.n, a + 2 * b),
-        (3, 0, "truncated sum is not commutative at n=2, a=1, b=0, c=1"),
+        (5, 0, "truncated sum is not commutative at n=2, a=1, b=0, c=1"),
+    ),
+    # a subtraction in place of the sum: not associative
+    (
+        "algebra", Chain, "add", lambda self, a, b: a - b,
+        (6, 0, "truncated sum is not associative at n=2, a=1, b=0, c=1"),
+    ),
+    # a sum that adds one more: associative and commutative, with no unit
+    (
+        "algebra", Chain, "add", lambda self, a, b: min(self.n, a + b + 1),
+        (6, 0, "0 is not a unit for the truncated sum at n=2, a=1, b=0, c=1"),
+    ),
+    (
+        "algebra", Chain, "neg", lambda self, a: 0,
+        (6, 0, "complement is not involutive at n=2, a=1, b=0, c=1"),
+    ),
+    # the identity is an involution, but not the MV complement
+    (
+        "algebra", Chain, "neg", lambda self, a: a,
+        (2, 0, "characteristic identity fails at n=2, a=1, b=0, c=1"),
+    ),
+    (
+        "algebra", Chain, "mul", lambda self, a, b: min(self.n, 2 * b),
+        (2, 1, "exchange inequality fails at n=5, a=2, b=1, c=1"),
+    ),
+    (
+        "algebra", FuzzySet, "oplus", lambda self, other: self,
+        (5, 1, "pointwise sum is not commutative at n=5, alpha=(0, 1, 5), beta=(2, 4, 5)"),
     ),
     (
         "algebra", FuzzySet, "complement", lambda self: self,
-        (1, 1, "pointwise characteristic identity fails at n=5, alpha=(0, 1, 5), beta=(2, 4, 5)"),
+        (2, 1, "pointwise characteristic identity fails at n=5, alpha=(0, 1, 5), beta=(2, 4, 5)"),
+    ),
+    (
+        "algebra", FuzzySet, "complement", lambda self: FuzzySet.zero(self.carrier, self.chain),
+        (6, 0, "pointwise complement is not involutive at n=2, alpha=(1,), beta=(1,)"),
+    ),
+    # multiples without truncation
+    (
+        "algebra", Chain, "scaled", lambda self, k, a: k * a,
+        (6, 0, "scalar multiples do not stabilize at n=2, alpha=(1,), beta=(1,)"),
+    ),
+    # the crisp support is built as the zero set
+    (
+        "algebra", suites, "FuzzySet", lambda carrier, chain, values: FuzzySet.zero(carrier, chain),
+        (6, 0, "saturated multiple is not the crisp support at n=2, alpha=(1,), beta=(1,)"),
     ),
     (
         "generation", oracles, "naive_generate_opens",
         lambda subbase: FuzzyFamily(subbase.carrier, subbase.chain),
-        (4, 0, "fixpoint generation disagrees with the naive closure on n=1, points=('a', 'b'), subbase=[]"),
+        (6, 0, "fixpoint generation disagrees with the naive closure on n=1, points=('a', 'b'), subbase=[]"),
     ),
     (
         "generation", suites, "is_topology", lambda family: False,
-        (4, 0, "generated family is not a topology at n=1, subbase=[]"),
+        (6, 0, "generated family is not a topology at n=1, subbase=[]"),
     ),
     (
         "generation", suites, "is_subbase", lambda candidate, topology: False,
-        (4, 0, "the generator family is not a subbase of its own topology at n=1, subbase=[]"),
+        (6, 0, "the generator family is not a subbase of its own topology at n=1, subbase=[]"),
     ),
     (
         # a base closure that drops its last member loses one more on every call
         "generation", suites, "base_from_subbase",
         lambda family: FuzzyFamily(family.carrier, family.chain, family.members[:-1]),
-        (1, 2, "base closure is not idempotent at n=2, subbase=[(1, 0), (1, 1), (2, 1)]"),
+        (2, 2, "base closure is not idempotent at n=2, subbase=[(1, 0), (1, 1), (2, 1)]"),
     ),
     (
         # the bigger subbase is the extra set alone
         "generation", FuzzyFamily, "with_members",
         lambda self, extra: FuzzyFamily(self.carrier, self.chain, extra),
-        (2, 1, "base closure is not monotone at n=2, subbase=[(0, 2)]"),
+        (3, 1, "base closure is not monotone at n=2, subbase=[(0, 2)]"),
     ),
     (
         "generation", suites, "closed_sets", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
-        (4, 0, "closed sets are not closed under the dual operations at n=1, subbase=[]"),
+        (6, 0, "closed sets are not closed under the dual operations at n=1, subbase=[]"),
     ),
     (
         "generation", suites, "clopens", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
-        (4, 0, "clopens do not form a topology at n=1, subbase=[]"),
+        (6, 0, "clopens do not form a topology at n=1, subbase=[]"),
     ),
     (
         "continuity", maps, "is_continuous_via_base", lambda f, domain, base: None,
         (
-            4, 0,
+            6, 0,
             "base continuity test disagrees with the direct one at n=1, map=(0, 0), "
             "domain opens=[(0, 0), (1, 0), (1, 1)], codomain subbase=[(0,), (1,)]",
+        ),
+    ),
+    # the pulled-back subbase is the zero set alone
+    (
+        "continuity", suites, "mv_preimage", lambda f, alpha: FuzzySet.zero(f.domain, alpha.chain),
+        (
+            1, 2,
+            "pullback-built map is not continuous at n=2, map=(2, 2), domain opens=[(0, 0), (0, 1), "
+            "(0, 2), (1, 1), (1, 2), (2, 2)], codomain subbase=[(0, 0, 1), (2, 0, 2)]",
+        ),
+    ),
+    # the composite keeps the first map's indices, wrapped into the codomain
+    (
+        "continuity", PointMap, "then",
+        lambda self, other: PointMap(self.domain, other.codomain, tuple(i % other.codomain.size for i in self.images)),
+        (
+            1, 2,
+            "composition of continuous maps is not continuous at n=2, map=(2, 2), domain opens=[(0, 0), "
+            "(0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], codomain subbase=[(0, 0, 1), (2, 0, 2)]",
+        ),
+    ),
+    # case 5 is the first whose carriers have one size, so that a bijection is drawn
+    (
+        "continuity", maps, "is_open_map", lambda f, domain, codomain: False,
+        (
+            1, 5,
+            "bijective openness disagrees with inverse continuity at n=2, map=(0,), "
+            "domain opens=[(0,), (2,)], codomain subbase=[]",
         ),
     ),
     (
         "tychonoff", oracles, "brute_force_compactness",
         lambda topology, max_opens=16: oracles.CompactnessOracleReport(False, 0, (), None),
         (
-            4, 0,
+            6, 0,
             "oracle found a non-compact factor 0 at factor 0: opens=[(0, 0), (1, 0), (1, 1)]; "
+            "factor 1: opens=[(0, 0), (1, 1)] (n=1)",
+        ),
+    ),
+    # an oracle that fails every search given a cap: the product's, not the factors'
+    (
+        "tychonoff", oracles, "brute_force_compactness",
+        lambda topology, max_opens=None: oracles.CompactnessOracleReport(max_opens is None, 0, (), None),
+        (
+            6, 0,
+            "oracle found the product non-compact at factor 0: opens=[(0, 0), (1, 0), (1, 1)]; "
             "factor 1: opens=[(0, 0), (1, 1)] (n=1)",
         ),
     ),
@@ -169,7 +252,7 @@ FORCED_FAILURES = [
         # the Lemma 1 check that lemma1 runs on one cover, tychonoff runs on 20
         "tychonoff", suites, "_single_factor_form", lambda space, result: False,
         (
-            4, 0,
+            6, 0,
             "extracted certificate mixes factors at factor 0: opens=[(0, 0), (1, 0), (1, 1)]; "
             "factor 1: opens=[(0, 0), (1, 1)] (n=1)",
         ),
@@ -177,7 +260,7 @@ FORCED_FAILURES = [
     (
         "hausdorff-product", suites, "is_hausdorff", lambda t: False,
         (
-            4, 0,
+            6, 0,
             "product of separated factors is not separated at factor 0: opens=[(0, 0), (0, 1), "
             "(1, 0), (1, 1)]; factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
         ),
@@ -185,7 +268,7 @@ FORCED_FAILURES = [
     (
         "hausdorff-product", suites, "mv_preimage", lambda f, alpha: FuzzySet.zero(f.domain, alpha.chain),
         (
-            4, 0,
+            5, 0,
             "lifted witnesses miss the top value at factor 0: opens=[(0, 0), (0, 1), (1, 0), (1, 1)]; "
             "factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
         ),
@@ -193,7 +276,7 @@ FORCED_FAILURES = [
     (
         "hausdorff-product", FuzzySet, "meet", lambda self, other: self,
         (
-            4, 0,
+            5, 0,
             "lifted witnesses are not disjoint at factor 0: opens=[(0, 0), (0, 1), (1, 0), (1, 1)]; "
             "factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
         ),
@@ -201,7 +284,7 @@ FORCED_FAILURES = [
     (
         "hausdorff-product", FuzzyFamily, "__contains__", lambda self, item: False,
         (
-            4, 0,
+            5, 0,
             "lifted witnesses are not open in the product at factor 0: opens=[(0, 0), (0, 1), (1, 0), "
             "(1, 1)]; factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
         ),
@@ -209,7 +292,7 @@ FORCED_FAILURES = [
     (
         "zerodim-product", suites, "is_zero_dimensional", lambda t: False,
         (
-            4, 0,
+            6, 0,
             "product of zero-dimensional factors is not zero-dimensional at factor 0: "
             "opens=[(0, 0), (1, 1)]; factor 1: opens=[(0, 0), (1, 1)] (n=1)",
         ),
@@ -217,19 +300,60 @@ FORCED_FAILURES = [
     (
         "stone-product", suites, "is_stone", lambda t: False,
         (
-            4, 0,
+            6, 0,
             "product of Stone factors is not Stone at factor 0: opens=[(0, 0), (0, 1), (1, 0), "
             "(1, 1)]; factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
         ),
     ),
     (
+        "alexander-claims", suites, "is_ideal", lambda family: False,
+        (6, 0, "constructed coordinate family is not an ideal at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
+    ),
+    (
+        "alexander-claims", FuzzyFamily, "__contains__", lambda self, item: False,
+        (6, 0, "ideal is not downward closed at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
+    ),
+    (
+        "alexander-claims", FuzzySet, "oplus", lambda self, other: FuzzySet.one(self.carrier, self.chain),
+        (6, 0, "ideal is not closed under sums at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
+    ),
+    (
+        "alexander-claims", FuzzySet, "oplus", lambda self, other: FuzzySet.zero(self.carrier, self.chain),
+        (6, 0, "sum of non-members landed in the ideal at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
+    ),
+    # the set drawn above a non-member is the zero set
+    (
+        "alexander-claims", suites, "FuzzySet", lambda carrier, chain, values: FuzzySet.zero(carrier, chain),
+        (
+            6, 0,
+            "a set above a non-member landed in the ideal at n=1, points=('a', 'b'), zero coordinates=[0, 1]",
+        ),
+    ),
+    (
         "alexander-claims", suites, "is_filter", lambda family: False,
-        (4, 0, "complement of the ideal is not a filter at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
+        (6, 0, "complement of the ideal is not a filter at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
+    ),
+    (
+        "alexander-claims", FuzzySet, "is_one", property(lambda self: False),
+        (
+            6, 0,
+            "product-plus-copies identity fails at n=1, points=('a', 'b'), zero coordinates=[0, 1] "
+            "with beta=(1, 0), summands=[(1, 1), (0, 1)]",
+        ),
+    ),
+    # the drawn non-cover is a cover
+    (
+        "lemma1", suites, "random_subbasic_noncover", suites.random_subbasic_cover,
+        (
+            3, 1,
+            "a non-cover was not rejected at factor 0: opens=[(0, 0), (2, 2)]; "
+            "factor 1: opens=[(0, 0), (2, 2)] (n=2)",
+        ),
     ),
     (
         "lemma1", suites, "_single_factor_form", lambda space, result: False,
         (
-            2, 0,
+            3, 0,
             "extracted certificate mixes factors at factor 0: opens=[(0, 0), (1, 1)]; "
             "factor 1: opens=[(0, 0), (1, 1)] (n=1)",
         ),
@@ -237,18 +361,36 @@ FORCED_FAILURES = [
 ]
 
 
+def forced_failure_ids(rows) -> list[str]:
+    """`suite-name`, with `-2`, `-3`, ... on the later rows that plant into one name."""
+    seen = Counter()
+    ids = []
+    for suite, _, name, _, _ in rows:
+        base = f"{suite}-{name}"
+        seen[base] += 1
+        ids.append(base if seen[base] == 1 else f"{base}-{seen[base]}")
+    return ids
+
+
 @pytest.mark.parametrize(
-    "suite, owner, name, replacement, expected",
-    FORCED_FAILURES,
-    ids=[f"{row[0]}-{row[2]}" for row in FORCED_FAILURES],
+    "suite, owner, name, replacement, expected", FORCED_FAILURES, ids=forced_failure_ids(FORCED_FAILURES)
 )
 def test_a_failing_case_describes_its_instance(monkeypatch, suite, owner, name, replacement, expected):
     # details are built only once a case fails; every product suite describes its
     # factors one way: their opens, then the chain they share
     assert {row[0] for row in FORCED_FAILURES} == EXPECTED_SUITES
     monkeypatch.setattr(owner, name, replacement)
-    report = run_suite(suite, 3, 4)
+    report = run_suite(suite, 3, 6)
     assert (report.failed, report.first_failure_case, report.first_failure_detail) == expected
+
+
+def test_verify_prints_the_first_failure_and_exits_1(monkeypatch, capsys):
+    suite, owner, name, replacement, (failed, case, detail) = FORCED_FAILURES[0]
+    monkeypatch.setattr(owner, name, replacement)
+    assert cli.main(["verify", suite, "--seed", "3", "--cases", "6"]) == 1
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        f"failed: {failed}", f"first failure: case {case}", f"detail: {detail}", "result: FAIL"
+    ]
 
 
 # -- the instance memo ------------------------------------------------------------------
