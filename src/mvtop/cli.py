@@ -54,8 +54,10 @@ def _load(path: str) -> object:
     if path != "-":
         return read_document(path, repr(path))
     try:
+        if sys.stdin is None:  # the process started with stdin closed
+            raise OSError("stdin is closed")
         text = sys.stdin.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, a closed stream
         raise InputError(f"cannot read '-': {exc}") from None
     return loads_document(text, "'-'")
 

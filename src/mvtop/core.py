@@ -6,18 +6,19 @@ families, and point maps are immutable; all operations are pure.
 
 `FuzzySet` is the boundary: its constructor validates every value it is
 given, so each value is checked once, where it enters.  A result computed from
-sets already checked (an operation, a complement, a multiple, a preimage, a
-vector unpacked from lanes) is valid by construction and is built by
-`FuzzySet._trusted`, which checks nothing.  `Lanes` is the compute
-representation: a whole value vector packed into one int, with lane-wise
-operations that trust their operands for the same reason.  A `FuzzyFamily`
-stores its members so, and is the only place that packs or unpacks them.
+sets already checked (an operation, a complement, a multiple, a preimage or a
+forward image, the constant sets, a vector unpacked from lanes) is valid by
+construction and is built by `FuzzySet._trusted`, which checks nothing.
+`Lanes` is the compute representation: a whole value vector packed into one
+int, with lane-wise operations that trust their operands for the same reason.
+A `FuzzyFamily` stores its members so, and is the only place that packs or
+unpacks them.
 
-The value classes are `Record`s: plain `__slots__` classes whose constructor,
-equality, hash, repr and immutability are written once, in `Record`, so that
-no class is generated at import; importing costs a command more than most of
-its computation does.  The classes built in hot loops spell out their own
-`__init__`, `__eq__` and `__hash__`.
+The value classes are `Record`s: plain `__slots__` classes whose positional
+constructor, equality, hash, repr and immutability are written once, in
+`Record`, so that no class is generated at import; importing costs a command
+more than most of its computation does.  The classes built in hot loops spell
+out their own `__init__`, `__eq__` and `__hash__`.
 """
 
 from __future__ import annotations
@@ -31,40 +32,22 @@ _new = object.__new__  # how a trusted constructor makes an instance without __i
 class Record:
     """An immutable value: the fields are the `__slots__`, in order.
 
-    The constructor takes the fields by position or keyword, fills the missing
-    ones from `_defaults`, then runs `__post_init__`.  Equality (only within one
-    class) and the hash go by the fields, the repr is `Name(field=value, ...)`,
-    and assigning or deleting a field raises `AttributeError`.  Copies and
-    pickles are rebuilt by the constructor from `_astuple()`.
+    The constructor takes every field by position, and nothing else, then runs
+    `__post_init__`.  Equality (only within one class) and the hash go by the
+    fields, the repr is `Name(field=value, ...)`, and assigning or deleting a
+    field raises `AttributeError`.  Copies and pickles are rebuilt by the
+    constructor from `_astuple()`.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         fields = self.__slots__
-        if kwargs or len(args) != len(fields):
-            args = self._arguments(args, kwargs)
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments, got {len(args)}")
         for field, value in zip(fields, args):
             _set(self, field, value)
         self.__post_init__()
-
-    def _arguments(self, args: tuple, kwargs: dict) -> list:
-        """Every field's value, from the arguments, else from `_defaults`."""
-        fields, name = self.__slots__, type(self).__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
-        values = dict(zip(fields, args))
-        for field, value in kwargs.items():
-            if field not in fields or field in values:
-                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
-            values[field] = value
-        for field in fields:
-            if field not in values:
-                if field not in self._defaults:
-                    raise TypeError(f"{name}() missing argument {field!r}")
-                values[field] = self._defaults[field]
-        return [values[field] for field in fields]
 
     def __post_init__(self):
         pass
@@ -245,17 +228,12 @@ class FuzzySet(Record):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, carrier: Carrier, chain: Chain, value: int) -> "FuzzySet":
-        chain.check(value)
-        return cls(carrier, chain, (value,) * carrier.size)
-
-    @classmethod
     def zero(cls, carrier: Carrier, chain: Chain) -> "FuzzySet":
-        return cls.constant(carrier, chain, 0)
+        return cls._trusted(carrier, chain, (0,) * carrier.size)
 
     @classmethod
     def one(cls, carrier: Carrier, chain: Chain) -> "FuzzySet":
-        return cls.constant(carrier, chain, chain.n)
+        return cls._trusted(carrier, chain, (chain.n,) * carrier.size)
 
     # -- pointwise operations ----------------------------------------------
 
@@ -561,7 +539,7 @@ def forward_image(f: PointMap, alpha: FuzzySet) -> FuzzySet:
         y = f.images[x]
         if v > out[y]:
             out[y] = v
-    return FuzzySet(f.codomain, alpha.chain, tuple(out))
+    return FuzzySet._trusted(f.codomain, alpha.chain, tuple(out))
 
 
 def _order_and_op_closed(

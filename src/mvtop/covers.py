@@ -55,7 +55,7 @@ class CoverCertificate(Record):
         """Truncated sum of all entries with their multiplicities."""
         n = self.chain.n
         acc = _raw_sum(self.entries, self.carrier.size)
-        return FuzzySet(self.carrier, self.chain, tuple(min(n, a) for a in acc))
+        return FuzzySet._trusted(self.carrier, self.chain, tuple(min(n, a) for a in acc))
 
 
 def _raw_sum(entries, size: int) -> list[int]:
@@ -83,18 +83,23 @@ def find_additive_subcover(family: FuzzyFamily) -> CoverCertificate | None:
     n = family.chain.n
     size = family.carrier.size
     mults: dict[FuzzySet, int] = {}
+    acc = [0] * size  # the running sum of the entries, before truncation at n
     for x in range(size):
-        if _raw_sum(mults.items(), size)[x] >= n:
+        if acc[x] >= n:
             continue
         # max keeps the first of equal keys: the canonically least member
         best = max((m for m in family.members if m.values[x] > 0), key=lambda m: m.values[x])
-        needed = -(-n // best.values[x])  # ceil division
-        mults[best] = max(mults.get(best, 0), needed)
+        # ceil division; a multiplicity best already holds leaves x below n, so it is smaller
+        needed = -(-n // best.values[x])
+        acc = [a + (needed - mults.get(best, 0)) * v for a, v in zip(acc, best.values)]
+        mults[best] = needed
 
     for member in sorted(mults, key=lambda m: m.values):
         for lower in range(mults[member]):
-            if all(a >= n for a in _raw_sum({**mults, member: lower}.items(), size)):
+            lowered = [a - (mults[member] - lower) * v for a, v in zip(acc, member.values)]
+            if all(a >= n for a in lowered):
                 mults[member] = lower
+                acc = lowered
                 break
 
     certificate = CoverCertificate(tuple((m, mult) for m, mult in mults.items() if mult))

@@ -1,8 +1,10 @@
 """JSON document formats for the command-line front end.
 
 Every JSON file, a CLI input or a space reference, is read by `read_document`,
-and all JSON is decoded by `loads_document`; each failure is one `InputError`
-naming its input.  Family documents are `SpaceDocument`s of kind "family".
+and all JSON is decoded by `loads_document`; each failure, a key given twice in
+one object too, is one `InputError` naming its input.  Family documents are
+`SpaceDocument`s of kind "family".  A document record is built with every
+field given, the absent `name` as None and the absent caps as `{}`.
 Documents are exact: integer chain values only, and rationals written as
 integers or "p/q" strings.  Serialization is canonical, so identical inputs
 produce byte-identical outputs and parse/serialize round-trips are the
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap, Record, _set
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap, Record
 from .errors import InputError
 
 _CAP_KEYS = {"max_opens"}
@@ -104,21 +106,15 @@ def render_rational(value: Fraction) -> int | str:
 
 
 class SpaceDocument(Record):
-    """A chain, points and one family of value vectors, named by its kind; the
-    caps default to a fresh empty dict."""
+    """A chain, points and one family of value vectors, named by its kind."""
 
     __slots__ = ("chain", "carrier", "kind", "family", "name", "caps")
-    _defaults = {"name": None, "caps": None}
     chain: Chain
     carrier: Carrier
     kind: str  # "subbase", "opens" or "family"
     family: FuzzyFamily
     name: str | None
     caps: dict[str, int]
-
-    def __post_init__(self):
-        if self.caps is None:
-            _set(self, "caps", {})
 
 
 def parse_space_document(obj: object) -> SpaceDocument:
@@ -148,14 +144,13 @@ def parse_family_document(obj: object) -> SpaceDocument:
     _require_keys(obj, {"chain", "points", "family"}, {"name"}, "family document")
     chain, carrier = _parse_header(obj, "family document")
     family = _parse_vectors(obj["family"], carrier, chain, "family")
-    return SpaceDocument(chain, carrier, "family", family, _parse_name(obj))
+    return SpaceDocument(chain, carrier, "family", family, _parse_name(obj), {})
 
 
 class MapDocument(Record):
     """A point map between two spaces, inline or referenced by file path."""
 
     __slots__ = ("map", "domain", "codomain", "name")
-    _defaults = {"name": None}
     map: PointMap
     domain: SpaceDocument
     codomain: SpaceDocument
@@ -194,7 +189,6 @@ class MetricDocument(Record):
     """A finite metric with optional explicit ball centers and radii."""
 
     __slots__ = ("metric", "centers", "radii", "name")
-    _defaults = {"centers": None, "radii": None, "name": None}
     metric: MetricInstance
     centers: tuple[FuzzyPoint, ...] | None
     radii: tuple[Fraction, ...] | None
@@ -255,9 +249,19 @@ def dumps_canonical(obj: dict) -> str:
 
 
 def loads_document(text: str, what: str) -> object:
-    """Decode JSON text; every failure, the digit limit too, is an input error."""
+    """Decode JSON text; every failure, the digit limit and a repeated key too,
+    is an input error."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise InputError(f"{what} repeats the key {repeated!r}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per nested array or object

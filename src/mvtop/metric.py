@@ -51,12 +51,6 @@ class MetricInstance(Record):
                             f"triangle inequality fails at points {i}, {j}, {l}"
                         )
 
-    @classmethod
-    def from_rows(
-        cls, carrier: Carrier, chain: Chain, rows: Sequence[Sequence[Fraction | int]]
-    ) -> "MetricInstance":
-        return cls(carrier, chain, tuple(tuple(Fraction(d) for d in row) for row in rows))
-
     @property
     def diameter(self) -> Fraction:
         return max((d for row in self.dist for d in row), default=Fraction(0))
@@ -85,7 +79,7 @@ def _ball(metric: MetricInstance, center: FuzzyPoint, r: Fraction) -> tuple[int,
 def open_ball(metric: MetricInstance, center: FuzzyPoint, radius: Fraction) -> FuzzySet:
     """The ball takes the center's value inside the radius and 0 at distance >= radius."""
     _check_center(metric, center)
-    return FuzzySet(metric.carrier, metric.chain, _ball(metric, center, _radius(radius)))
+    return FuzzySet._trusted(metric.carrier, metric.chain, _ball(metric, center, _radius(radius)))
 
 
 def default_centers(metric: MetricInstance) -> Iterator[FuzzyPoint]:
@@ -133,7 +127,7 @@ def _balls(
 
 def _family(metric: MetricInstance, vectors: Iterable[tuple[int, ...]]) -> FuzzyFamily:
     carrier, chain = metric.carrier, metric.chain
-    return FuzzyFamily.of(carrier, chain, (FuzzySet(carrier, chain, v) for v in vectors))
+    return FuzzyFamily.of(carrier, chain, (FuzzySet._trusted(carrier, chain, v) for v in vectors))
 
 
 def metric_ball_family(

@@ -154,7 +154,6 @@ class CompactnessOracleReport(Record):
     """Outcome of enumerating every open cover and searching its certificates."""
 
     __slots__ = ("compact", "covers_checked", "certificates", "counterexample")
-    _defaults = {"counterexample": None}
     compact: bool
     covers_checked: int
     certificates: tuple[tuple[tuple[int, ...], CoverCertificate], ...]

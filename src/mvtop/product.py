@@ -30,11 +30,14 @@ class ProductSpace:
         self.max_opens = max_opens
 
         coords = list(itertools.product(*(range(f.carrier.size) for f in factors)))
-        labels = tuple(
-            "(" + ",".join(factors[i].carrier.label(c[i]) for i in range(len(factors))) + ")"
-            for c in coords
-        )
-        self.carrier = Carrier(labels)
+        points: dict[str, tuple[str, ...]] = {}  # each point's label: its factor labels
+        for c in coords:
+            t = tuple(f.carrier.label(i) for f, i in zip(factors, c))
+            label = "(" + ",".join(t) + ")"
+            if label in points:  # factor labels with commas can collide
+                raise InputError(f"product points {points[label]} and {t} are both labelled {label!r}")
+            points[label] = t
+        self.carrier = Carrier(tuple(points))
         self.coordinates = tuple(coords)
         self.projections = tuple(
             PointMap(self.carrier, f.carrier, tuple(c[i] for c in coords))

@@ -60,7 +60,6 @@ class SuiteReport(Record):
     __slots__ = (
         "suite", "seed", "cases", "passed", "failed", "first_failure_case", "first_failure_detail"
     )
-    _defaults = {"first_failure_case": None, "first_failure_detail": None}
     suite: str
     seed: int
     cases: int

@@ -40,14 +40,6 @@ class Topology(Record):
     def __hash__(self):
         return hash((self.carrier, self.chain, self.opens))
 
-    @property
-    def zero(self) -> FuzzySet:
-        return FuzzySet.zero(self.carrier, self.chain)
-
-    @property
-    def one(self) -> FuzzySet:
-        return FuzzySet.one(self.carrier, self.chain)
-
 
 def indiscrete(carrier: Carrier, chain: Chain) -> Topology:
     zero = FuzzySet.zero(carrier, chain)
@@ -60,9 +52,8 @@ def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
     n = chain.n
     members = []
     for mask in range(1 << carrier.size):
-        members.append(
-            FuzzySet(carrier, chain, tuple(n if mask >> i & 1 else 0 for i in range(carrier.size)))
-        )
+        values = tuple(n if mask >> i & 1 else 0 for i in range(carrier.size))
+        members.append(FuzzySet._trusted(carrier, chain, values))
     return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
 
 
@@ -276,7 +267,6 @@ class SeparationReport(Record):
     """Outcome of the Hausdorff check: per-pair witnesses or the failing pair."""
 
     __slots__ = ("hausdorff", "witnesses", "failing_pair")
-    _defaults = {"witnesses": (), "failing_pair": None}
     hausdorff: bool
     witnesses: tuple[tuple[tuple[int, int], tuple[FuzzySet, FuzzySet]], ...]
     failing_pair: tuple[int, int] | None

@@ -287,6 +287,18 @@ def test_product_cap_error_reports_one_past_the_cap(tmp_path):
     assert err == "error: base closure exceeded the size cap (cap 1, reached 2)\n"
 
 
+def test_colliding_product_labels_name_both_points(tmp_path):
+    # both factors are valid; only the comma-joined labels of two product points coincide
+    left = {"chain": 1, "points": ["a", "a,b"], "opens": [[0, 0], [1, 1]]}
+    right = {"chain": 1, "points": ["b,c", "c"], "opens": [[0, 0], [1, 1]]}
+    (tmp_path / "left.json").write_text(doc(left), encoding="utf-8")
+    (tmp_path / "right.json").write_text(doc(right), encoding="utf-8")
+    for extra in ([], ["--subbase-only"]):
+        code, out, err = run_cli(["product", *extra, str(tmp_path / "left.json"), str(tmp_path / "right.json")])
+        assert (code, out) == (2, "")
+        assert err == "error: product points ('a', 'b,c') and ('a,b', 'c') are both labelled '(a,b,c)'\n"
+
+
 def test_product_chain_mismatch_exits_2(tmp_path):
     p1 = tmp_path / "one.json"
     p2 = tmp_path / "two.json"
@@ -362,6 +374,8 @@ NOT_UTF8 = b"\xff\xfe{}"
 
 
 HUGE_CHAIN = '{"chain": ' + "9" * 5000 + ', "points": ["a"], "subbase": []}'
+DUP_OPENS = '{"chain": 1, "points": ["a"], "opens": [[0], [1]], "opens": [[1]]}'
+DUP_CAPS = '{"chain": 1, "points": ["a"], "subbase": [], "caps": {"max_opens": 9, "max_opens": 2}}'
 
 
 SPACE = doc({"chain": 1, "points": ["a"], "opens": [[0], [1]]})
@@ -389,6 +403,10 @@ READ_FAILURES = {
     "bad JSON": (["gen", "broken.json"], None, f"'broken.json' {SYNTAX}"),
     "bad JSON stdin": (["gen", "-"], b'{"chain": ', f"'-' {SYNTAX}"),
     "bad JSON reference": (["continuity", "broken.map.json"], None, f"{REF} 'broken.json' {SYNTAX}"),
+    # with the last value winning, these would be checked as other documents
+    "repeated key": (["check", "topology", "dup.json"], None, "'dup.json' repeats the key 'opens'"),
+    "repeated key stdin": (["gen", "-"], DUP_CAPS.encode(), "'-' repeats the key 'max_opens'"),
+    "repeated key reference": (["continuity", "dup.map.json"], None, f"{REF} 'dup.json' repeats the key 'opens'"),
     "NUL reference": (["continuity", "nul.map.json"], None, f"cannot read {REF} 'a\\x00b': embedded null byte"),
     # a reference named - is a file name: stdin holds a valid space and stays unread
     "dash reference": (["continuity", "dash.map.json"], SPACE.encode(), f"cannot read {REF} '-': [Errno 2]"),
@@ -402,7 +420,8 @@ def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
     (tmp_path / "nested.json").write_text("[" * 100000 + "]" * 100000)  # well-formed
     (tmp_path / "huge.json").write_text(HUGE_CHAIN)
     (tmp_path / "broken.json").write_text('{"chain": ')
-    for ref in ("bad.json", "deep.json", "huge.json", "missing.json", "broken.json", "-", "a\0b"):
+    (tmp_path / "dup.json").write_text(DUP_OPENS)
+    for ref in ("bad.json", "deep.json", "huge.json", "missing.json", "broken.json", "dup.json", "-", "a\0b"):
         map_doc = {"domain": ref, "codomain": ref, "map": [0]}
         stem = {"-": "dash", "a\0b": "nul"}.get(ref, ref.removesuffix(".json"))
         (tmp_path / f"{stem}.map.json").write_text(doc(map_doc))
@@ -421,6 +440,17 @@ def test_undecodable_and_deeply_nested_input_exits_2(tmp_path, case):
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
     assert "set_int_max_str_digits" not in lines[0]
+
+
+def test_a_closed_stdin_is_an_input_error(monkeypatch):
+    closed = io.StringIO(doc(DISCRETE))
+    closed.close()
+    with pytest.raises(ValueError) as raised:
+        closed.read()
+    for stdin, reason in ((None, "stdin is closed"), (closed, raised.value)):
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(["gen", "-"])
+        assert (code, out, err) == (2, "", f"error: cannot read '-': {reason}\n")
 
 
 @pytest.mark.parametrize(
@@ -758,6 +788,12 @@ def test_no_stdout_at_all_is_an_error_line_and_exit_2(tmp_path, argv):
     (tmp_path / "space.json").write_text(doc(DISCRETE))
     result = run_process(argv, tmp_path, preexec_fn=lambda: os.close(1))
     assert result == (2, "", "error: cannot write the output: stdout is closed\n")
+
+
+def test_no_stdin_at_all_is_an_input_error_and_exit_2(tmp_path):
+    # the process starts with descriptor 0 closed, as under `mvtop gen - <&-`
+    result = run_process(["gen", "-"], tmp_path, preexec_fn=lambda: os.close(0))
+    assert result == (2, "", "error: cannot read '-': stdin is closed\n")
 
 
 @pytest.mark.parametrize(

@@ -106,7 +106,7 @@ def reference_base_witness(candidate, topology):
         if m not in opens:
             return m
     for o in topology.opens:
-        acc = topology.zero
+        acc = FuzzySet.zero(topology.carrier, topology.chain)
         for c in candidate:
             if c.leq(o):
                 acc = acc.join(c)

@@ -1,8 +1,10 @@
-"""The value classes keep the contract they had as frozen dataclasses.
+"""The value classes keep one contract: fields by position, value semantics.
 
-One instance of each class, built afresh, must keep its repr, equal a
-rebuilt twin, differ from a changed twin, and keep its hash.  The figures were
-recorded while the classes were still built by `dataclasses`.  Hashes go
+A `Record` takes every field by position and nothing else.  One instance of
+each class, built afresh, must keep its repr, equal a rebuilt twin, differ
+from a changed twin, keep its hash, survive copies and pickles, and refuse
+assignment.  The figures were recorded while the classes were still built by
+`dataclasses`, and the records still match them.  Hashes go
 through a fresh interpreter with PYTHONHASHSEED=0, so that string hashes
 repeat; a Term's hash involves hash(None), which differs between runs before
 Python 3.12, so for a Term only its agreement with the twin's is recorded.
@@ -54,8 +56,7 @@ def family(*vectors):
 
 
 def space(name="s", caps=None):
-    extra = () if caps is None else (caps,)
-    return SpaceDocument(Chain(2), carrier(), "opens", family((0, 0), (2, 2)), name, *extra)
+    return SpaceDocument(Chain(2), carrier(), "opens", family((0, 0), (2, 2)), name, caps or {})
 
 
 def metric(d=Fraction(1, 2)):
@@ -83,18 +84,18 @@ CASES = {
     ),
     "SeparationReport": (
         lambda: SeparationReport(False, (((0, 1), (fs(2, 0), fs(0, 2))),), (1, 2)),
-        lambda: SeparationReport(True, (((0, 1), (fs(2, 0), fs(0, 2))),)),
+        lambda: SeparationReport(True, (((0, 1), (fs(2, 0), fs(0, 2))),), None),
     ),
     "FuzzyPoint": (lambda: FuzzyPoint(1, 2), lambda: FuzzyPoint(0, 2)),
     "MetricInstance": (metric, lambda: metric(Fraction(1))),
     "SpaceDocument": (space, lambda: space(caps={"max_opens": 4})),
     "MapDocument": (
-        lambda: MapDocument(swap(), space(), space("t")),
+        lambda: MapDocument(swap(), space(), space("t"), None),
         lambda: MapDocument(swap(), space(), space("t"), "m"),
     ),
     "MetricDocument": (
         lambda: MetricDocument(metric(), (FuzzyPoint(0, 1),), (Fraction(3, 2),), "d"),
-        lambda: MetricDocument(metric()),
+        lambda: MetricDocument(metric(), None, None, None),
     ),
     "CoverCertificate": (cert, lambda: cert(2)),
     "AdditiveCoverSearch": (lambda: AdditiveCoverSearch(cert(), 7), lambda: AdditiveCoverSearch(None, 7)),
@@ -110,11 +111,11 @@ CASES = {
     ),
     "CompactnessOracleReport": (
         lambda: CompactnessOracleReport(False, 2, (((0, 1), cert()),), (fs(0, 1),)),
-        lambda: CompactnessOracleReport(True, 2, (((0, 1), cert()),)),
+        lambda: CompactnessOracleReport(True, 2, (((0, 1), cert()),), None),
     ),
     "SuiteReport": (
         lambda: SuiteReport("algebra", 1, 5, 4, 1, 3, "detail"),
-        lambda: SuiteReport("algebra", 1, 5, 5, 0),
+        lambda: SuiteReport("algebra", 1, 5, 5, 0, None, None),
     ),
 }
 
@@ -414,15 +415,22 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     assert getattr(x, field) is value
 
 
-def test_defaults_fill_the_fields_left_out():
-    assert space().caps == {} and space().caps is not space().caps
-    assert SuiteReport("algebra", 1, 5, 5, 0).first_failure_detail is None
-    assert SeparationReport(True) == SeparationReport(True, (), None)
-    assert SuiteReport(suite="a", seed=1, cases=2, passed=2, failed=0) == SuiteReport("a", 1, 2, 2, 0)
-    with pytest.raises(TypeError):
+def test_a_record_takes_every_field_by_position_and_nothing_else():
+    assert SeparationReport(True, (), None).failing_pair is None
+    with pytest.raises(TypeError, match=r"^SuiteReport\(\) takes 7 arguments, got 2$"):
         SuiteReport("algebra", 1)
-    with pytest.raises(TypeError):
-        SeparationReport(True, hausdorff=False)
+    with pytest.raises(TypeError, match=r"^SeparationReport\(\) takes 3 arguments, got 4$"):
+        SeparationReport(True, (), None, None)
+    for build in (
+        lambda: SeparationReport(True),
+        lambda: SeparationReport(True, (), failing_pair=None),
+        lambda: SeparationReport(hausdorff=True, witnesses=(), failing_pair=None),
+        lambda: SuiteReport(suite="a", seed=1, cases=2, passed=2, failed=0),
+        lambda: FuzzyPoint(support=0, value=1),
+        lambda: ProductSubcover(0, certificate=cert()),
+    ):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_every_exported_name_resolves():

@@ -458,12 +458,12 @@ def every_other_generator(subbase, max_size):
 )
 def test_a_defect_planted_between_runs_shows_in_the_next_run(monkeypatch, suite, owner, name, defect, expected):
     # the memo lasts one run: nothing built before the defect is reused after it
-    assert run_suite(suite, 5, 30) == SuiteReport(suite, 5, 30, 30, 0)
+    assert run_suite(suite, 5, 30) == SuiteReport(suite, 5, 30, 30, 0, None, None)
     monkeypatch.setattr(owner, name, defect)
     report = run_suite(suite, 5, 30)
     assert (report.passed, report.failed, report.first_failure_case, report.first_failure_detail) == expected
     monkeypatch.undo()
-    assert run_suite(suite, 5, 30) == SuiteReport(suite, 5, 30, 30, 0)
+    assert run_suite(suite, 5, 30) == SuiteReport(suite, 5, 30, 30, 0, None, None)
 
 
 # -- planted mutants of the product layer ------------------------------------------------
@@ -554,4 +554,4 @@ def test_a_stone_sampler_accepting_hausdorff_spaces_is_an_equivalent_mutant(monk
     weakened = planted(generators.random_stone_topology, "is_stone", "is_hausdorff")
     before = run_suite("stone-product", 5, 30)
     monkeypatch.setattr(suites, "random_stone_topology", weakened)
-    assert run_suite("stone-product", 5, 30) == before == SuiteReport("stone-product", 5, 30, 30, 0)
+    assert run_suite("stone-product", 5, 30) == before == SuiteReport("stone-product", 5, 30, 30, 0, None, None)

@@ -256,8 +256,12 @@ def test_closed_sets_closure_properties():
 # -- metric-induced topologies ------------------------------------------------------
 
 
+def _metric(carrier, rows):
+    return MetricInstance(carrier, CH2, tuple(tuple(Fraction(d) for d in row) for row in rows))
+
+
 def _metric_ab(distance=1):
-    return MetricInstance.from_rows(AB, CH2, [[0, distance], [distance, 0]])
+    return _metric(AB, [[0, distance], [distance, 0]])
 
 
 def test_ball_inside_and_outside_radius():
@@ -277,12 +281,12 @@ def test_ball_rejects_bad_inputs():
 
 def test_metric_validation():
     with pytest.raises(InputError):
-        MetricInstance.from_rows(AB, CH2, [[0, 1], [2, 0]])
+        _metric(AB, [[0, 1], [2, 0]])
     with pytest.raises(InputError):
-        MetricInstance.from_rows(AB, CH2, [[1, 1], [1, 0]])
+        _metric(AB, [[1, 1], [1, 0]])
     abc = Carrier(("a", "b", "c"))
     with pytest.raises(InputError):
-        MetricInstance.from_rows(abc, CH2, [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        _metric(abc, [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
 def test_default_ball_family_is_a_large_subbase():

@@ -1,28 +1,34 @@
 """Values are checked once, where they enter; results computed from them are not.
 
-The fuzzy-set operations, complements, multiples, preimages and the sets that
-generation and the Hausdorff check unpack from lanes are built without
-validation.  These gates re-validate each such result, so a defect that yields
-an out-of-range value is still caught, and the constructor that validates keeps
-its messages.
+The fuzzy-set operations, complements, multiples, preimages and forward
+images, the constant sets, the sum of a cover certificate, the crisp discrete
+opens, metric balls, and the sets that generation and the Hausdorff check
+unpack from lanes are built without validation.  These gates re-validate each
+such result, so a defect that yields an out-of-range value is still caught, and
+the constructor that validates keeps its messages.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from mvtop import (
     Carrier,
     Chain,
+    CoverCertificate,
     FuzzyFamily,
+    FuzzyPoint,
     FuzzySet,
     InputError,
+    MetricInstance,
     PointMap,
     base_from_subbase,
     check_hausdorff,
     generate_from_subbase,
     mv_preimage,
 )
+from mvtop import core, metric, topology
 
 
 def random_set(rng, carrier, chain):
@@ -30,7 +36,10 @@ def random_set(rng, carrier, chain):
 
 
 def unchecked_results(rng):
-    """Every kind of result built without validation, on one random space."""
+    """Every kind of result built without validation, on one random space.
+
+    The builders a test below replaces are looked up in their modules, so that
+    the replacement takes effect here."""
     chain = Chain(rng.randint(1, 5))
     carrier = Carrier(tuple("abcd"[: rng.randint(1, 4)]))
     a, b = random_set(rng, carrier, chain), random_set(rng, carrier, chain)
@@ -41,6 +50,20 @@ def unchecked_results(rng):
     domain = Carrier(tuple("pqrst"[: rng.randint(1, 5)]))
     f = PointMap(domain, carrier, tuple(rng.randrange(carrier.size) for _ in domain.points))
     yield mv_preimage(f, a)
+    image = Carrier(tuple("xyz"[: rng.randint(1, 3)]))
+    g = PointMap(carrier, image, tuple(rng.randrange(image.size) for _ in carrier.points))
+    yield core.forward_image(g, a)
+    yield FuzzySet.zero(carrier, chain)
+    yield FuzzySet.one(carrier, chain)
+    entries = {s.values: (s, rng.randint(1, chain.n + 1)) for s in (a, b)}
+    yield CoverCertificate(tuple(entries.values())).combined()
+    yield from topology.crisp_discrete(carrier, chain).opens
+    positions = [rng.randint(0, 3) for _ in carrier.points]
+    dist = tuple(tuple(Fraction(abs(p - q)) for q in positions) for p in positions)
+    space = MetricInstance(carrier, chain, dist)
+    center = FuzzyPoint(rng.randrange(carrier.size), rng.randint(1, chain.n))
+    yield metric.open_ball(space, center, Fraction(rng.randint(1, 8), 2))
+    yield from metric.metric_ball_family(space)  # the balls of `metric._family`
 
 
 def lane_families(rng):
@@ -90,6 +113,45 @@ def test_every_unchecked_result_revalidates():
 
 def test_revalidation_catches_an_oplus_without_truncation(monkeypatch):
     monkeypatch.setattr(Chain, "add", lambda self, a, b: a + b)
+    assert first_invalid(0, 300) is not None
+
+
+# defects that build trusted results out of range
+
+
+def summed_forward_image(f, alpha):
+    """The fiber's values summed, not their maximum."""
+    out = [0] * f.codomain.size
+    for x, v in enumerate(alpha.values):
+        out[f.images[x]] += v
+    return FuzzySet._trusted(f.codomain, alpha.chain, tuple(out))
+
+
+def one_above_the_top(cls, carrier, chain):
+    return cls._trusted(carrier, chain, (chain.n + 1,) * carrier.size)
+
+
+def untruncated_sum(certificate):
+    values = (sum(m * s.values[x] for s, m in certificate.entries) for x in range(certificate.carrier.size))
+    return FuzzySet._trusted(certificate.carrier, certificate.chain, tuple(values))
+
+
+def ball_above_its_center(space, center, r):
+    return (center.value + 1,) * space.carrier.size
+
+
+@pytest.mark.parametrize(
+    "owner, name, defect",
+    [
+        (core, "forward_image", summed_forward_image),
+        (FuzzySet, "one", classmethod(one_above_the_top)),
+        (CoverCertificate, "combined", untruncated_sum),
+        (metric, "_ball", ball_above_its_center),
+    ],
+    ids=["forward image", "one", "certificate sum", "ball"],
+)
+def test_revalidation_catches_a_trusted_result_out_of_range(monkeypatch, owner, name, defect):
+    monkeypatch.setattr(owner, name, defect)
     assert first_invalid(0, 300) is not None
 
 
