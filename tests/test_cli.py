@@ -825,6 +825,55 @@ def test_usage_error_exits_2():
     assert code == 2
 
 
+# each command with its positionals filled
+WELL_FORMED = {
+    "gen": ["gen", "x.json"],
+    "check": ["check", "compact", "x.json"],
+    "product": ["product", "x.json"],
+    "mincover": ["mincover", "x.json"],
+    "subcover": ["subcover", "x.json"],
+    "metric": ["metric", "x.json"],
+    "continuity": ["continuity", "x.json"],
+    "verify": ["verify", "algebra"],
+}
+# argv that argparse answers itself, with a usage error or the help
+ARGPARSE_ANSWERS = [
+    [],
+    ["frobnicate"],
+    ["gen"],
+    ["check", "bogus", "x.json"],
+    ["mincover", "x.json", "--max-nodes", "x"],
+    ["gen", "--max-opens=0", "x.json"],
+    ["gen", "x.json", "--max-opens"],
+    ["verify", "algebra", "--seed", "x"],
+    ["product"],
+    ["-h"],
+    ["--help"],
+    *([*argv, "--bogus"] for argv in WELL_FORMED.values()),
+    *([command, flag] for command in WELL_FORMED for flag in ("-h", "--help")),
+]
+
+
+def argparse_answer(argv):
+    """The exit code, stdout and stderr of `build_parser().parse_args(argv)`, in process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"argparse accepts {argv}")
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ANSWERS, ids=lambda argv: " ".join(argv) or "no command")
+def test_usage_errors_and_help_are_the_bytes_argparse_writes(argv):
+    # taken from argparse itself, so the pins hold on every Python version
+    code, out, err = argparse_answer(argv)
+    assert run_cli(argv) == (code, out, err)
+    shows_help = "-h" in argv or "--help" in argv
+    assert (code, out == "", err == "") == ((0, False, True) if shows_help else (2, True, False))
+
+
 def test_document_caps_reject_max_nodes():
     space = {"chain": 2, "points": ["x"], "subbase": [[1]], "caps": {"max_nodes": 5}}
     code, out, err = run_cli(["gen", "-"], doc(space))
