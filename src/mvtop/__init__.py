@@ -12,20 +12,21 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in (
-        ("core", "Carrier Chain FuzzyFamily FuzzySet PointMap forward_image is_filter is_ideal mv_preimage"),
+        ("core", "Carrier Chain FuzzyFamily FuzzySet PointMap mv_preimage"),
         (
             "covers",
-            "CoverCertificate ProductSubcover Term eval_term find_additive_subcover is_additive_cover"
-            " product_subbasic_subcover term_witness",
+            "CoverCertificate ProductSubcover find_additive_subcover is_additive_cover"
+            " product_subbasic_subcover",
         ),
         ("errors", "InputError MVTopologyError PreconditionError ResourceLimitError"),
         (
             "maps",
-            "continuity_counterexample is_closed_map is_continuous is_continuous_via_base"
-            " is_homeomorphism is_open_map",
+            "continuity_counterexample forward_image is_closed_map is_continuous is_continuous_via_base"
+            " is_filter is_homeomorphism is_ideal is_open_map",
         ),
         ("metric", "FuzzyPoint MetricInstance metric_ball_family metric_induced open_ball"),
         ("product", "ProductSpace tupling verify_universal_property"),
+        ("terms", "Term eval_term term_witness"),
         (
             "topology",
             "Topology base_from_subbase base_witness check_hausdorff clopens closed_sets crisp_discrete"

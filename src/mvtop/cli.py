@@ -17,7 +17,12 @@ Every command runs in a fresh process, where importing the package can cost
 more than the computation, so a command imports what only it runs inside its
 function: the solvers, maps, products, metrics and suites, and `documents`
 (with `json`), which the helpers that read or write a document import; `verify`
-reads and writes none.  At module level the CLI loads only the topology core.
+reads and writes none.  At module level the CLI loads only the topology core,
+whose `generate_from_subbase` a benchmark self-test wraps in `cli`.  `main`
+reads a well-formed argv off the table `COMMANDS` and leaves any other, help
+and usage errors included, to `build_parser`, its argparse parser: a
+well-formed request imports neither argparse nor `gettext` and `locale`.
+
 For the same reason `run`, the entry of `python -m mvtop.cli` and of the
 `mvtop` script, ends the process with `os._exit` once `main` has written and
 flushed its report: the interpreter does not tear down its modules and objects.
@@ -28,10 +33,10 @@ traceback.  To profile a command, wrap `main` in process: `python -m cProfile
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
+from .core import Record
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .topology import (
     DEFAULT_MAX_OPENS,
@@ -82,13 +87,15 @@ def _topology_from(doc: SpaceDocument, what: str) -> Topology:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type for caps and case counts: an integer >= 1."""
+    """The converter of caps and case counts: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
@@ -302,85 +309,145 @@ def _cmd_verify(args):
     return suites.run_suite(args.suite, args.seed, args.cases)
 
 
-# -- parser ------------------------------------------------------------------------
+# -- the command table: both parsers read every command from here ------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(Record):
+    """A positional is (dest, help, choices, many): any value if `choices` is None,
+    and one or more if `many` (then it is the only one).  A flag is (option, dest,
+    convert, default, help): store-true if `convert` is None, else one value."""
+
+    __slots__ = ("run", "help", "positionals", "flags")
+
+
+INPUT = ("input", "input document path, or - for stdin", None, False)
+MAX_OPENS = ("--max-opens", "max_opens", _positive_int, None, "opens size cap")
+MAX_NODES = ("--max-nodes", "max_nodes", _positive_int, None, "solver node cap")
+ORACLE_CAP = "oracle opens cap, with --oracle (default: the oracle's own cap)"
+
+COMMANDS = {
+    "gen": Command(_cmd_gen, "generate a topology from a subbase document", (INPUT,), (MAX_OPENS,)),
+    "check": Command(
+        _cmd_check,
+        "decide a property of a space document",
+        (("kind", None, CHECK_KINDS, False), INPUT),
+        (
+            ("--oracle", "oracle", None, False, "force brute-force compactness"),
+            ("--max-opens", "max_opens", _positive_int, None, ORACLE_CAP),
+        ),
+    ),
+    "product": Command(
+        _cmd_product,
+        "build the product of space documents",
+        (("inputs", "factor space documents", None, True),),
+        (("--subbase-only", "subbase_only", None, False, "emit the canonical subbase"), MAX_OPENS),
+    ),
+    "mincover": Command(
+        _cmd_mincover, "least-total additive cover of a family document", (INPUT,), (MAX_NODES,)
+    ),
+    "subcover": Command(
+        _cmd_subcover, "smallest covering subfamily of a family document", (INPUT,), (MAX_NODES,)
+    ),
+    "metric": Command(
+        _cmd_metric,
+        "build the topology induced by a metric document",
+        (INPUT,),
+        (("--subbase-only", "subbase_only", None, False, "emit the ball family"), MAX_OPENS),
+    ),
+    "continuity": Command(_cmd_continuity, "check a map document for continuity", (INPUT,), ()),
+    "verify": Command(
+        _cmd_verify,
+        "run a randomized verification suite",
+        (("suite", "suite to run; an unknown name lists them", None, False),),
+        (("--seed", "seed", int, 0, None), ("--cases", "cases", _positive_int, 20, None)),
+    ),
+}
+
+
+class Arguments:
+    """A parsed argv: `command` and one attribute per positional and flag."""
+
+    def __init__(self, values: dict[str, object]):
+        self.__dict__.update(values)
+
+
+def parse_args(argv: list[str]) -> Arguments | None:
+    """The arguments of a well-formed argv, read off the table, else None: the
+    command, its positionals and each of its flags at most once, in any order
+    that argparse reads the same way."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {"command": argv[0], **{flag[1]: flag[3] for flag in command.flags}}
+    flags = {flag[0]: flag for flag in command.flags}  # popped when given
+    found: list[str] = []
+    runs = 0  # of positionals, which flags separate
+    after_flag = True
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = flags.pop(token, None)
+        if flag is None:
+            if token.startswith("-") and token != "-":
+                return None
+            runs += after_flag
+            after_flag = False
+            found.append(token)
+            continue
+        _, dest, convert, _, _ = flag
+        after_flag = True
+        if convert is None:
+            values[dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(text)
+        except Exception:  # a refused value: argparse words the error
+            return None
+    if command.positionals[-1][3]:
+        if runs != 1:  # argparse takes the values of a many positional from one run
+            return None
+        found = [found]
+    if len(found) != len(command.positionals):
+        return None
+    for (dest, _, choices, _), value in zip(command.positionals, found):
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return Arguments(values)
+
+
+def build_parser():
+    """The argparse parser of the table, which answers every argv `parse_args` does not."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mvtop",
         description="Exact workbench for finite MV-topological spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input(p):
-        p.add_argument("input", help="input document path, or - for stdin")
-
-    def add_max_opens(p):
-        p.add_argument("--max-opens", type=_positive_int, default=None, help="opens size cap")
-
-    def add_max_nodes(p):
-        p.add_argument("--max-nodes", type=_positive_int, default=None, help="solver node cap")
-
-    p = sub.add_parser("gen", help="generate a topology from a subbase document")
-    add_input(p)
-    add_max_opens(p)
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("check", help="decide a property of a space document")
-    p.add_argument("kind", choices=CHECK_KINDS)
-    add_input(p)
-    p.add_argument("--oracle", action="store_true", help="force brute-force compactness")
-    p.add_argument(
-        "--max-opens",
-        type=_positive_int,
-        default=None,
-        help="oracle opens cap, with --oracle (default: the oracle's own cap)",
-    )
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("product", help="build the product of space documents")
-    p.add_argument("inputs", nargs="+", help="factor space documents")
-    p.add_argument("--subbase-only", action="store_true", help="emit the canonical subbase")
-    add_max_opens(p)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("mincover", help="least-total additive cover of a family document")
-    add_input(p)
-    add_max_nodes(p)
-    p.set_defaults(func=_cmd_mincover)
-
-    p = sub.add_parser("subcover", help="smallest covering subfamily of a family document")
-    add_input(p)
-    add_max_nodes(p)
-    p.set_defaults(func=_cmd_subcover)
-
-    p = sub.add_parser("metric", help="build the topology induced by a metric document")
-    add_input(p)
-    p.add_argument("--subbase-only", action="store_true", help="emit the ball family")
-    add_max_opens(p)
-    p.set_defaults(func=_cmd_metric)
-
-    p = sub.add_parser("continuity", help="check a map document for continuity")
-    add_input(p)
-    p.set_defaults(func=_cmd_continuity)
-
-    p = sub.add_parser("verify", help="run a randomized verification suite")
-    p.add_argument("suite", help="suite to run; an unknown name lists them")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_positive_int, default=20)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest, help, choices, many in command.positionals:
+            p.add_argument(dest, nargs="+" if many else None, choices=choices, help=help)
+        for option, dest, convert, default, help in command.flags:
+            how = {"action": "store_true"} if convert is None else {"type": convert}
+            p.add_argument(option, dest=dest, default=default, help=help, **how)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error already on stderr
+            return _emit("", int(exc.code or 0))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help, or a usage error already on stderr
-        return _emit("", int(exc.code or 0))
-    try:
-        report = args.func(args)
+        report = COMMANDS[args.command].run(args)
     except (InputError, PreconditionError) as exc:
         return _error(exc, 2)
     except ResourceLimitError as exc:

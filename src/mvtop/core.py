@@ -6,9 +6,9 @@ families, and point maps are immutable; all operations are pure.
 
 `FuzzySet` is the boundary: its constructor validates every value it is
 given, so each value is checked once, where it enters.  A result computed from
-sets already checked (an operation, a complement, a multiple, a preimage or a
-forward image, the constant sets, a vector unpacked from lanes) is valid by
-construction and is built by `FuzzySet._trusted`, which checks nothing.
+sets already checked (an operation, a complement, a multiple, a preimage, the
+constant sets, a vector unpacked from lanes) is valid by construction and is
+built by `FuzzySet._trusted`, which checks nothing.
 `Lanes` is the compute representation: a whole value vector packed into one
 int, with lane-wise operations that trust their operands for the same reason.
 A `FuzzyFamily` stores its members so, and is the only place that packs or
@@ -528,51 +528,3 @@ def mv_preimage(f: PointMap, alpha: FuzzySet) -> FuzzySet:
     if alpha.carrier is not f.codomain and alpha.carrier != f.codomain:
         raise InputError("the set to pull back must live on the map's codomain")
     return FuzzySet._trusted(f.domain, alpha.chain, tuple(map(alpha.values.__getitem__, f.images)))
-
-
-def forward_image(f: PointMap, alpha: FuzzySet) -> FuzzySet:
-    """Push a fuzzy set forward: sup over each fiber, 0 on empty fibers."""
-    if alpha.carrier != f.domain:
-        raise InputError("the set to push forward must live on the map's domain")
-    out = [0] * f.codomain.size
-    for x, v in enumerate(alpha.values):
-        y = f.images[x]
-        if v > out[y]:
-            out[y] = v
-    return FuzzySet._trusted(f.codomain, alpha.chain, tuple(out))
-
-
-def _order_and_op_closed(
-    family: FuzzyFamily, step: int, op: Callable[[Lanes, int, int], int]
-) -> bool:
-    """Nonempty, closed under single-step moves of one value by step (-1 down,
-    +1 up, within 0..n), and closed under the binary lane op.
-
-    Single-step moves generate the pointwise order, so checking them one
-    coordinate at a time decides full downward (upward) closure.  A move is
-    one lane unit, 1 << s for the lane at bit s, added to or taken from the int.
-    """
-    lanes, packed, present, n = family.lanes, family.packed, family.present, family.chain.n
-    if not packed:
-        return False
-    mask = (1 << lanes.shift) - 1
-    for x in packed:
-        for s in range(0, lanes.width * lanes.size, lanes.width):
-            if 0 <= (x >> s & mask) + step <= n and x + (step << s) not in present:
-                return False
-    for i, a in enumerate(packed):
-        # both ops are commutative: each unordered pair once
-        for b in packed[i:]:
-            if op(lanes, a, b) not in present:
-                return False
-    return True
-
-
-def is_ideal(family: FuzzyFamily) -> bool:
-    """True iff the family is nonempty, downward closed, and closed under oplus."""
-    return _order_and_op_closed(family, -1, Lanes.oplus)
-
-
-def is_filter(family: FuzzyFamily) -> bool:
-    """True iff the family is nonempty, upward closed, and closed under odot."""
-    return _order_and_op_closed(family, 1, Lanes.odot)

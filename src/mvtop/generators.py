@@ -282,7 +282,7 @@ def random_subbasic_noncover(
 
 
 def random_term(rng: random.Random, arity: int, max_depth: int) -> Term:
-    from .covers import Term
+    from .terms import Term
 
     if max_depth <= 0 or rng.random() < 0.3:
         return Term.var(rng.randrange(arity))

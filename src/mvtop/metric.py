@@ -105,18 +105,19 @@ def _balls(
 ) -> Iterator[tuple[int, ...]]:
     """The value vector of every ball, center-major, made one at a time.
 
-    Explicit centers and radii are checked before the first ball is made, and
-    the error raised is the first that `open_ball` meets in center-major order:
-    the first center's, then the radii's, then the other centers'.  The default
-    centers are valid.
+    Explicit centers and radii are checked before the first ball is made, even
+    when the other list is empty, and the error raised is the first that
+    `open_ball` would meet in center-major order: the first center's, then the
+    radii's, then the other centers'.  The default centers are valid.
     """
     if radii is None:
         radii = default_radii(metric)
     if centers is None:
         centers = default_centers(metric)
         radii = [_radius(r) for r in radii]
-    elif centers and radii:
-        _check_center(metric, centers[0])
+    else:
+        if centers:
+            _check_center(metric, centers[0])
         radii = [_radius(r) for r in radii]
         for c in centers[1:]:
             _check_center(metric, c)

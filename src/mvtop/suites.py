@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record, is_filter, is_ideal, mv_preimage
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record, mv_preimage
 from .errors import PreconditionError
 from .generators import (
     PAIR_PRODUCT_OPENS,
@@ -355,6 +355,8 @@ def _case_stone_product(rng: random.Random) -> str | None:
 
 
 def _case_alexander_claims(rng: random.Random) -> str | None:
+    from .maps import is_filter, is_ideal
+
     chain = random_chain(rng, 2)
     carrier = random_carrier(rng, 3)
     ideal, zero_at = random_coordinate_ideal(rng, carrier, chain)

@@ -6,11 +6,14 @@ to any byte of a report, an error line or an exit code names its case.  The
 corpus avoids text that argparse or the JSON decoder words differently across
 Python versions.  It needs nothing beyond the standard library: `test_golden.py`
 runs it in process under pytest, and `golden_replay.py` runs each case as a CLI
-process on any interpreter.
+process on any interpreter.  Both, and the CLI tests, compare the CLI's table
+parser with argparse through `parsed_both_ways`.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 DISCRETE = {"chain": 1, "points": ["a", "b"], "opens": [[0, 0], [0, 1], [1, 0], [1, 1]]}
 INDISCRETE = {"chain": 1, "points": ["a", "b"], "opens": [[0, 0], [1, 1]]}
@@ -350,3 +353,17 @@ GOLDEN = {
 
 def digest(code, out, err):
     return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+def parsed_both_ways(argv):
+    """The arguments of argv from the CLI's table parser and from argparse, as
+    dicts, each None where its parser refuses argv; argparse's output is dropped."""
+    from mvtop import cli
+
+    table = cli.parse_args(argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    return (None if table is None else vars(table)), parsed

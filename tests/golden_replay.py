@@ -6,9 +6,10 @@ but the standard library:
     python tests/golden_replay.py
 
 Each case runs in a fresh temporary directory holding the corpus files, with
-the checkout's `src` as the only import path beyond the standard library.  It
-prints one line per mismatching case and a summary, and exits 1 on any
-mismatch, 0 otherwise.
+the checkout's `src` as the only import path beyond the standard library.  Each
+case's argv is also parsed in this process, by the CLI's table parser and by
+argparse, which must agree.  It prints one line per mismatching case or
+disagreeing argv and a summary of each, and exits 1 on any, 0 otherwise.
 """
 
 import json
@@ -18,7 +19,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from golden_cases import FILES, GOLDEN, digest
+from golden_cases import FILES, GOLDEN, digest, parsed_both_ways
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -43,7 +44,16 @@ def main() -> int:
             print(f"mismatch: {case}: exit {outcome[0]}, stderr {outcome[2]!r}")
     version = ".".join(map(str, sys.version_info[:3]))
     print(f"golden replay on Python {version}: {len(GOLDEN) - mismatches} of {len(GOLDEN)} cases match")
-    return 1 if mismatches else 0
+    sys.path.insert(0, str(SRC))
+    disagreements = 0
+    for case, (argv, _) in GOLDEN.items():
+        table, parsed = parsed_both_ways(argv)
+        if table is None or table != parsed:
+            disagreements += 1
+            print(f"parsers disagree: {case}: table {table}, argparse {parsed}")
+    agree = len(GOLDEN) - disagreements
+    print(f"table parser on Python {version}: {agree} of {len(GOLDEN)} argv read as argparse reads them")
+    return 1 if mismatches or disagreements else 0
 
 
 if __name__ == "__main__":

@@ -25,12 +25,7 @@ from mvtop import (
     verify_universal_property,
 )
 from mvtop.cli import main as cli_main
-from mvtop.covers import (
-    OPLUS,
-    VAR,
-    minimal_additive_cover_search,
-    minimal_subcover_search,
-)
+from mvtop.covers import minimal_additive_cover_search, minimal_subcover_search
 from mvtop.documents import (
     dumps_canonical,
     map_document_to_obj,
@@ -56,6 +51,7 @@ from mvtop.oracles import (
 )
 from mvtop.product import product, tupling
 from mvtop.suites import SUITES, run_suite
+from mvtop.terms import OPLUS, VAR
 
 
 def _report(number: int, message: str) -> None:

@@ -13,9 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from golden_cases import GOLDEN, parsed_both_ways
 from mvtop import cli
 from mvtop.cli import main
 from mvtop.suites import SUITES
@@ -543,8 +544,11 @@ def test_metric_stops_at_the_cap_before_making_every_ball():
         ([["a", 0], ["b", 1]], [0, 1], "a fuzzy point must carry a positive value"),
         ([["a", 1], ["b", 3]], [1, 0], "ball radius must be positive"),
         ([["a", 1], ["b", 3]], [1], "3 is not an element of the chain 0..2"),
-        ([["a", 0]], [], None),
-        ([], [0], None),
+        # a list is checked even when the other is empty, so no ball is made
+        ([["a", 0]], [], "a fuzzy point must carry a positive value"),
+        ([], [0], "ball radius must be positive"),
+        ([["a", 7]], [], "7 is not an element of the chain 0..2"),
+        ([], [-1], "ball radius must be positive"),
     ],
 )
 def test_metric_checks_centers_and_radii_in_center_major_order(centers, radii, message):
@@ -552,10 +556,7 @@ def test_metric_checks_centers_and_radii_in_center_major_order(centers, radii, m
     document = {**METRIC, "centers": centers, "radii": radii}
     for argv in (["metric", "-"], ["metric", "--subbase-only", "-"]):
         code, out, err = run_cli(argv, doc(document))
-        if message is None:
-            assert (code, err) == (0, "")
-        else:
-            assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_metric_rejects_invalid_matrix():
@@ -623,7 +624,7 @@ except SystemExit as exc:
     code = exc.code
 print()
 print(code, *sorted(m for m in sys.modules if m.startswith("mvtop.") or m in WATCHED))
-""".replace("WATCHED", repr({"dataclasses", "inspect", "fractions", "json", "typing"}))
+""".replace("WATCHED", repr({"argparse", "dataclasses", "gettext", "inspect", "fractions", "json", "locale", "typing"}))
 
 LOAD_FILES = {
     "space.json": DISCRETE,
@@ -665,9 +666,23 @@ LOADS = {
     ("verify", "hausdorff-product", "--cases", "1"): SUITE | PRODUCT,
     ("verify", "zerodim-product", "--cases", "1"): SUITE | PRODUCT,
     ("verify", "stone-product", "--cases", "1"): SUITE | PRODUCT,
-    ("verify", "alexander-claims", "--cases", "1"): SUITE,
+    ("verify", "alexander-claims", "--cases", "1"): SUITE | {"mvtop.maps"},
     ("verify", "lemma1", "--cases", "1"): SUITE | PRODUCT | SOLVERS,
 }
+
+
+def load_probe(argv, cwd):
+    """The exit code, stderr and watched modules of `python -S -m mvtop.cli *argv`."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LOAD_PROBE, *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
+    )
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return code, proc.stderr, set(loaded)
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -676,22 +691,27 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert {argv[1] for argv in LOADS if argv[0] == "verify"} == set(SUITES)
     for name, obj in LOAD_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     # runpy runs mvtop.cli as __main__; the package binds nothing at import
     common = {"mvtop.core", "mvtop.errors", "mvtop.topology"}
     for argv, needed in LOADS.items():
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", LOAD_PROBE, *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
-        )
-        code, *loaded = proc.stdout.splitlines()[-1].split()
-        assert (code, proc.stderr) in {("0", ""), ("1", "")}, argv
-        assert set(loaded) == common | needed, argv
+        code, stderr, loaded = load_probe(argv, tmp_path)
+        assert (code, stderr) in {("0", ""), ("1", "")}, argv
+        assert loaded == common | needed, argv
+        # the table parser reads every well-formed argv, and no command evaluates terms
+        assert not loaded & (ARGPARSE | {"mvtop.terms"}), argv
         if argv[0] == "verify":
-            assert not DOCUMENTS & set(loaded), argv
+            assert not DOCUMENTS & loaded, argv
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     mentions = [p.name for p in Path(src, "mvtop").glob("*.py") if "dataclass" in p.read_text()]
     assert mentions == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["gen", "--max-opens=0", "space.json"]], ids=" ".join)
+def test_help_and_usage_errors_fall_back_to_argparse(tmp_path, argv):
+    code, stderr, loaded = load_probe(argv, tmp_path)
+    assert code == ("0" if argv == ["-h"] else "2")
+    assert {"argparse", "gettext"} <= loaded
+    assert "mvtop.terms" not in loaded
 
 
 def test_the_program_needs_only_the_standard_library():
@@ -872,6 +892,65 @@ def test_usage_errors_and_help_are_the_bytes_argparse_writes(argv):
     assert run_cli(argv) == (code, out, err)
     shows_help = "-h" in argv or "--help" in argv
     assert (code, out == "", err == "") == ((0, False, True) if shows_help else (2, True, False))
+
+
+# -- the table parser against argparse ------------------------------------------------
+
+# each argv shape the benchmark sends
+BENCHMARK_ARGV = [
+    ["gen", "f.json"],
+    *(["check", kind, "f.json"] for kind in cli.CHECK_KINDS),
+    ["continuity", "f.json"],
+    ["product", "f.json", "g.json"],
+    ["mincover", "f.json", "--max-nodes", "4000"],
+    ["subcover", "f.json", "--max-nodes", "4000"],
+    *(["verify", suite, "--seed", "123456", "--cases", "9"] for suite in SUITES),
+]
+FLAGS = sorted({flag[0] for command in cli.COMMANDS.values() for flag in command.flags})
+ARGV_TOKENS = [*cli.COMMANDS, *cli.CHECK_KINDS, *SUITES, *FLAGS, "-", "--", "-h", "--max-n", "--cases=2"]
+ARGV_TOKENS += ["0", "-1", "5_0", "7", "x.json", "", "junk"]
+
+
+VALUES = ["7", "0", "-1", "5_0", "x.json", ""]
+
+
+@st.composite
+def drawn_argv(draw):
+    """A command with its positionals, or a few tokens; then pieces placed anywhere
+    after the first token: the command's own flags, most with a value, or any token."""
+    head = draw(st.sampled_from(list(WELL_FORMED.values())) | st.lists(st.sampled_from(ARGV_TOKENS), max_size=2))
+    command = cli.COMMANDS.get(head[0]) if head else None
+    own = [flag[0] for flag in command.flags] if command and command.flags else FLAGS
+    flag_pieces = st.tuples(st.sampled_from(own), st.sampled_from(VALUES)).map(list)
+    pieces = flag_pieces | st.sampled_from(own).map(lambda flag: [flag]) | st.sampled_from(ARGV_TOKENS).map(
+        lambda token: [token]
+    )
+    argv = [*head]
+    for piece in draw(st.lists(pieces, max_size=3)):
+        at = draw(st.integers(min(1, len(argv)), len(argv)))
+        argv[at:at] = piece
+    return argv
+
+
+def test_the_table_parser_reads_every_golden_loads_and_benchmark_argv():
+    # so the agreement below is not vacuous: these argv never reach argparse
+    for argv in [*(argv for argv, _ in GOLDEN.values()), *map(list, LOADS), *BENCHMARK_ARGV]:
+        table, parsed = parsed_both_ways(argv)
+        assert table is not None and table == parsed, argv
+
+
+def test_the_table_parser_agrees_with_argparse_or_leaves_the_argv_to_it():
+    accepted = []
+
+    @settings(max_examples=1000)
+    @given(drawn_argv())
+    def agrees(argv):
+        table, parsed = parsed_both_ways(argv)
+        assert table is None or table == parsed
+        accepted.append(table is not None)
+
+    agrees()
+    assert any(accepted) and not all(accepted)
 
 
 def test_document_caps_reject_max_nodes():

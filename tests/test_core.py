@@ -19,7 +19,7 @@ from mvtop import (
     is_ideal,
     mv_preimage,
 )
-from mvtop import core
+from mvtop import maps
 
 CH2 = Chain(2)
 CH4 = Chain(4)
@@ -379,9 +379,9 @@ def test_ideal_and_filter_checks_match_the_reference_scan():
 
 def test_reference_scan_catches_a_check_that_skips_the_op_closure(monkeypatch):
     # the mutant decides order closure only: every combined value counts as present
-    order_only = core._order_and_op_closed
+    order_only = maps._order_and_op_closed
     monkeypatch.setattr(
-        core, "_order_and_op_closed", lambda family, step, op: order_only(family, step, lambda lanes, a, b: a)
+        maps, "_order_and_op_closed", lambda family, step, op: order_only(family, step, lambda lanes, a, b: a)
     )
     mismatches, _ = ideal_and_filter_mismatches(41, 150)
     assert mismatches

@@ -18,7 +18,7 @@ import test_core
 import test_golden
 import test_values_once
 from mvtop import Carrier, Chain, FuzzyFamily, FuzzySet, InputError
-from mvtop import core
+from mvtop import maps
 from mvtop.core import Lanes
 
 AB, CH2 = Carrier(("a", "b")), Chain(2)
@@ -104,10 +104,10 @@ def test_golden_gen_catches_unsorted_ints(unsorted_ints, tmp_path, monkeypatch):
 def test_ideal_and_filter_cross_check_catches_a_mirrored_lane_unit(monkeypatch):
     # the value is read from the lane at bit s, but the move goes to its mirror
     mirrored = planted(
-        core._order_and_op_closed,
+        maps._order_and_op_closed,
         "x + (step << s)",
         "x + (step << lanes.width * (lanes.size - 1) - s)",
     )
-    monkeypatch.setattr(core, "_order_and_op_closed", mirrored)
+    monkeypatch.setattr(maps, "_order_and_op_closed", mirrored)
     mismatches, _ = test_core.ideal_and_filter_mismatches(41, 150)
     assert mismatches

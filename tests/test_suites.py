@@ -306,7 +306,7 @@ FORCED_FAILURES = [
         ),
     ),
     (
-        "alexander-claims", suites, "is_ideal", lambda family: False,
+        "alexander-claims", maps, "is_ideal", lambda family: False,
         (6, 0, "constructed coordinate family is not an ideal at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
     ),
     (
@@ -330,7 +330,7 @@ FORCED_FAILURES = [
         ),
     ),
     (
-        "alexander-claims", suites, "is_filter", lambda family: False,
+        "alexander-claims", maps, "is_filter", lambda family: False,
         (6, 0, "complement of the ideal is not a filter at n=1, points=('a', 'b'), zero coordinates=[0, 1]"),
     ),
     (

@@ -28,7 +28,7 @@ from mvtop import (
     generate_from_subbase,
     mv_preimage,
 )
-from mvtop import core, metric, topology
+from mvtop import maps, metric, topology
 
 
 def random_set(rng, carrier, chain):
@@ -52,7 +52,7 @@ def unchecked_results(rng):
     yield mv_preimage(f, a)
     image = Carrier(tuple("xyz"[: rng.randint(1, 3)]))
     g = PointMap(carrier, image, tuple(rng.randrange(image.size) for _ in carrier.points))
-    yield core.forward_image(g, a)
+    yield maps.forward_image(g, a)
     yield FuzzySet.zero(carrier, chain)
     yield FuzzySet.one(carrier, chain)
     entries = {s.values: (s, rng.randint(1, chain.n + 1)) for s in (a, b)}
@@ -143,7 +143,7 @@ def ball_above_its_center(space, center, r):
 @pytest.mark.parametrize(
     "owner, name, defect",
     [
-        (core, "forward_image", summed_forward_image),
+        (maps, "forward_image", summed_forward_image),
         (FuzzySet, "one", classmethod(one_above_the_top)),
         (CoverCertificate, "combined", untruncated_sum),
         (metric, "_ball", ball_above_its_center),
