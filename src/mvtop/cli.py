@@ -313,9 +313,10 @@ def _cmd_verify(args):
 
 
 class Command(Record):
-    """A positional is (dest, help, choices, many): any value if `choices` is None,
-    and one or more if `many` (then it is the only one).  A flag is (option, dest,
-    convert, default, help): store-true if `convert` is None, else one value."""
+    """A command's runner, help, positionals and flags.  A positional is (dest,
+    help, choices, many): any value if `choices` is None, one or more if `many`
+    (then the only one).  A flag is (option, dest, convert, default, help),
+    store-true if `convert` is None."""
 
     __slots__ = ("run", "help", "positionals", "flags")
 
