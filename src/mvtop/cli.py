@@ -380,7 +380,7 @@ def parse_args(argv: list[str]) -> Arguments | None:
     if command is None:
         return None
     values = {"command": argv[0], **{flag[1]: flag[3] for flag in command.flags}}
-    flags = {flag[0]: flag for flag in command.flags}  # popped when given
+    flags = {flag[0]: flag for flag in command.flags}  # popped when given: a repeat is refused
     found: list[str] = []
     runs = 0  # of positionals, which flags separate
     after_flag = True
