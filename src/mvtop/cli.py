@@ -18,7 +18,7 @@ more than the computation, so a command imports what only it runs inside its
 function: the solvers, maps, products, metrics and suites, and `documents`
 (with `json`), which the helpers that read or write a document import; `verify`
 reads and writes none.  At module level the CLI loads only the topology core,
-whose `generate_from_subbase` a benchmark self-test wraps in `cli`.  `main`
+and must: a benchmark self-test wraps `cli.generate_from_subbase`.  `main`
 reads a well-formed argv off the table `COMMANDS` and leaves any other, help
 and usage errors included, to `build_parser`, its argparse parser: a
 well-formed request imports neither argparse nor `gettext` and `locale`.
