@@ -5,7 +5,7 @@ reproduces an instance exactly.  Builders that need an instance from a
 restricted class resample up to a bounded number of attempts and then fall
 back to a deterministic member of the class, keeping suite runs total; the
 Stone sampler accepts with `is_stone`, the predicate the suites check.  The
-builders of products and terms import `product` and `covers` when called.
+builders of products and terms import `product` and `terms` when called.
 
 Inside a suite run (`one_run`, entered by `suites.run_suite`) an instance memo
 gives each distinct subbase its closure, each drawn topology its acceptance
@@ -36,10 +36,6 @@ from .topology import (
 )
 
 _LABELS = "abcdefgh"
-
-# random_compact_pair keeps materialized products within this brute-force
-# oracle cap, and the tychonoff suite runs the oracle with it
-PAIR_PRODUCT_OPENS = 16
 
 # random topologies have at most this many opens unless a caller asks for fewer
 SAMPLE_OPENS = 64
@@ -223,25 +219,20 @@ def random_stone_topology(rng: random.Random, carrier: Carrier, chain: Chain) ->
     )
 
 
-def random_compact_pair(rng: random.Random) -> ProductSpace:
-    """A product of two factors of at most 2 points and 6 opens, over a chain
-    with n <= 2, whose materialized product has at most PAIR_PRODUCT_OPENS
-    opens, small enough for the brute-force oracle."""
+def random_compact_pair(
+    rng: random.Random, draw: Callable[..., Topology], **kwargs
+) -> ProductSpace:
+    """The product of two factors of at most 2 points over one chain with
+    n <= 2, each drawn by draw(rng, carrier, chain, **kwargs).
+
+    Every finite space is compact, so both factors and their product are:
+    nothing is filtered or resampled here.
+    """
     from .product import product
 
-    for _ in range(200):
-        chain = random_chain(rng, 2)
-        factors = []
-        for _ in range(2):
-            size = 2 if rng.random() < 0.8 else rng.randint(1, 2)
-            carrier = Carrier(tuple(_LABELS[:size]))
-            factors.append(random_topology(rng, carrier, chain, max_subbase=2, max_opens=6))
-        space = once(product, tuple(factors))
-        if len(space.topology().opens) <= PAIR_PRODUCT_OPENS:
-            return space
-    chain = Chain(1)
-    base = indiscrete(random_carrier(rng, 2), chain)
-    return product([base, base])
+    chain = random_chain(rng, 2)
+    factors = tuple(draw(rng, random_carrier(rng, 2), chain, **kwargs) for _ in range(2))
+    return once(product, factors)
 
 
 def random_subbasic_cover(

@@ -7,6 +7,13 @@ failure as the case found it, unshrunk, and describes an instance only once a
 case fails.  A `verify` run loads only its suite's code: each case imports the
 solvers, maps and oracles it uses.
 
+The product suites draw their factor pairs with `random_compact_pair`.  Every
+finite space is compact, so the paper's Tychonoff theorem holds of each drawn
+pair by itself; what can fail at this scale is its Alexander-subbase step,
+Lemma 1.  `tychonoff` extracts an additive cover from 20 subbasic covers of
+each product, and each must validate and lift the opens of one factor only;
+`lemma1` extracts from one cover per case, or has a non-cover rejected.
+
 A run builds its instances through the instance memo of `generators`
 (`one_run`, `once`): the sampled closures and acceptance verdicts, the products
 of factors, the coordinate ideals, and continuity's codomain, base and
@@ -22,7 +29,6 @@ import random
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record, mv_preimage
 from .errors import PreconditionError
 from .generators import (
-    PAIR_PRODUCT_OPENS,
     case_rng,
     coordinate_ideal,
     once,
@@ -247,18 +253,6 @@ def _case_continuity(rng: random.Random) -> str | None:
 # -- products --------------------------------------------------------------------
 
 
-def _draw_pair(
-    rng: random.Random, draw: Callable[..., Topology], **kwargs
-) -> tuple[list[Topology], ProductSpace]:
-    """Two factors of at most 2 points over one chain with n <= 2, each drawn
-    by draw(rng, carrier, chain, **kwargs), and their product."""
-    from .product import product
-
-    chain = random_chain(rng, 2)
-    factors = [draw(rng, random_carrier(rng, 2), chain, **kwargs) for _ in range(2)]
-    return factors, once(product, tuple(factors))
-
-
 def _single_factor_form(space, result) -> bool:
     projection = space.projections[result.factor_index]
     factor = space.factors[result.factor_index]
@@ -286,16 +280,7 @@ def _extraction_failure(space, entries) -> str | None:
 
 
 def _case_tychonoff(rng: random.Random) -> str | None:
-    from .oracles import brute_force_compactness
-
-    space = random_compact_pair(rng)
-    for i, factor in enumerate(space.factors):
-        report = brute_force_compactness(factor)
-        if not report.compact:
-            return f"oracle found a non-compact factor {i} at {_factors_where(space.factors)}"
-    report = brute_force_compactness(space.topology(), max_opens=PAIR_PRODUCT_OPENS)
-    if not report.compact:
-        return f"oracle found the product non-compact at {_factors_where(space.factors)}"
+    space = random_compact_pair(rng, random_topology, max_subbase=2, max_opens=6)
     for _ in range(20):
         failure = _extraction_failure(space, random_subbasic_cover(rng, space))
         if failure:
@@ -304,7 +289,8 @@ def _case_tychonoff(rng: random.Random) -> str | None:
 
 
 def _case_hausdorff_product(rng: random.Random) -> str | None:
-    factors, space = _draw_pair(rng, random_hausdorff_topology)
+    space = random_compact_pair(rng, random_hausdorff_topology)
+    factors = space.factors
     topology = space.topology()
     if not is_hausdorff(topology):
         return f"product of separated factors is not separated at {_factors_where(factors)}"
@@ -335,9 +321,9 @@ def _product_preserves(
     what: str,
 ) -> str | None:
     """Draw two factors with the property and check it on their product."""
-    factors, space = _draw_pair(rng, draw)
+    space = random_compact_pair(rng, draw)
     if not holds(space.topology()):
-        return f"product of {what} factors is not {what} at {_factors_where(factors)}"
+        return f"product of {what} factors is not {what} at {_factors_where(space.factors)}"
     return None
 
 
@@ -424,7 +410,7 @@ def _case_alexander_claims(rng: random.Random) -> str | None:
 def _case_lemma1(rng: random.Random) -> str | None:
     from .covers import product_subbasic_subcover
 
-    factors, space = _draw_pair(rng, random_topology, max_subbase=2, max_opens=6)
+    space = random_compact_pair(rng, random_topology, max_subbase=2, max_opens=6)
 
     if rng.random() < 0.25:
         entries = random_subbasic_noncover(rng, space)
@@ -432,11 +418,11 @@ def _case_lemma1(rng: random.Random) -> str | None:
             product_subbasic_subcover(space, entries)
         except PreconditionError:
             return None
-        return f"a non-cover was not rejected at {_factors_where(factors)}"
+        return f"a non-cover was not rejected at {_factors_where(space.factors)}"
 
     failure = _extraction_failure(space, random_subbasic_cover(rng, space))
     if failure:
-        return f"{failure} at {_factors_where(factors)}"
+        return f"{failure} at {_factors_where(space.factors)}"
     return None
 
 

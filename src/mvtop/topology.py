@@ -185,14 +185,17 @@ def large_subbase_witness(family: FuzzyFamily) -> tuple[FuzzySet, int, FuzzySet]
     """The first (member, multiplicity k, k-fold multiple) whose multiple is
     missing from the family, or None when the family is a large subbase.
 
-    Multiples stabilize at the crisp support once the multiplicity reaches the
-    chain resolution, so only multiplicities up to n need checking.
+    A member's multiples stop changing at its crisp support, by multiplicity n.
     """
     for m in family:
+        previous = m
         for k in range(2, family.chain.n + 1):
             multiple = m.scaled(k)
+            if multiple == previous:
+                break
             if multiple not in family:
                 return m, k, multiple
+            previous = multiple
     return None
 
 

@@ -176,7 +176,7 @@ def test_criterion_04_finite_compactness_lemma():
     _report(4, f"criterion agreed with exhaustive search on {checked} families")
 
 
-# -- 5: compactness of products at desk scale ------------------------------------------
+# -- 5: Lemma 1 on products at desk scale -----------------------------------------------
 
 
 def test_criterion_05_tychonoff_at_desk_scale():
@@ -187,8 +187,8 @@ def test_criterion_05_tychonoff_at_desk_scale():
     assert elapsed < 300.0, f"tychonoff suite took {elapsed:.1f}s"
     _report(
         5,
-        f"50 products oracle-verified compact with 20 subbasic extractions each "
-        f"in {elapsed:.1f}s",
+        f"50 products, each with 20 subbasic covers reduced to a one-factor "
+        f"additive cover, in {elapsed:.1f}s",
     )
 
 

@@ -662,7 +662,7 @@ LOADS = {
     ("verify", "algebra", "--cases", "1"): SUITE,
     ("verify", "generation", "--cases", "1"): SUITE | {"mvtop.oracles"},
     ("verify", "continuity", "--cases", "1"): SUITE | {"mvtop.maps"},
-    ("verify", "tychonoff", "--cases", "1"): SUITE | PRODUCT | SOLVERS | {"mvtop.oracles"},
+    ("verify", "tychonoff", "--cases", "1"): SUITE | PRODUCT | SOLVERS,
     ("verify", "hausdorff-product", "--cases", "1"): SUITE | PRODUCT,
     ("verify", "zerodim-product", "--cases", "1"): SUITE | PRODUCT,
     ("verify", "stone-product", "--cases", "1"): SUITE | PRODUCT,
@@ -686,6 +686,37 @@ ARGPARSE = {"argparse", "gettext", "locale"}
 # the most `mvtop` source a solver request may compile: 5,000 bytes under the
 # 81,896 it compiled while the term machinery sat in `covers`
 SOLVER_SOURCE_BUDGET = 76_896
+# LOADS argv -> the most `mvtop` source it may compile: its bytes when pinned,
+# rounded up to the next thousand, so that a module more or a kilobyte of growth
+# fails here and is declared with its new ceiling
+SOURCE_CEILINGS = {
+    ("gen", "space.json"): 65_000,
+    ("check", "topology", "space.json"): 65_000,
+    ("check", "compact", "space.json"): 65_000,
+    ("check", "strong-compact", "space.json"): 65_000,
+    ("check", "compact", "--oracle", "space.json"): 86_000,
+    ("check", "strong-compact", "--oracle", "space.json"): 74_000,
+    ("check", "hausdorff", "space.json"): 65_000,
+    ("check", "zerodim", "space.json"): 65_000,
+    ("check", "stone", "space.json"): 65_000,
+    ("check", "large-subbase", "space.json"): 65_000,
+    ("product", "space.json", "space.json"): 71_000,
+    ("product", "--subbase-only", "space.json"): 71_000,
+    ("mincover", "family.json"): SOLVER_SOURCE_BUDGET,
+    ("subcover", "family.json"): SOLVER_SOURCE_BUDGET,
+    ("metric", "metric.json"): 71_000,
+    ("metric", "--subbase-only", "metric.json"): 71_000,
+    ("continuity", "map.json"): 70_000,
+    ("verify", "algebra", "--cases", "1"): 83_000,
+    ("verify", "generation", "--cases", "1"): 91_000,
+    ("verify", "continuity", "--cases", "1"): 87_000,
+    ("verify", "tychonoff", "--cases", "1"): 100_000,
+    ("verify", "hausdorff-product", "--cases", "1"): 88_000,
+    ("verify", "zerodim-product", "--cases", "1"): 88_000,
+    ("verify", "stone-product", "--cases", "1"): 88_000,
+    ("verify", "alexander-claims", "--cases", "1"): 87_000,
+    ("verify", "lemma1", "--cases", "1"): 100_000,
+}
 
 
 def compiled_source_bytes(loaded):
@@ -699,6 +730,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # every request is a fresh process, so what a command imports is part of its cost
     assert {" ".join(argv[: 2 if argv[0] == "check" else 1]) for argv in LOADS} == set(COMMANDS)
     assert {argv[1] for argv in LOADS if argv[0] == "verify"} == set(SUITES)
+    assert set(SOURCE_CEILINGS) == set(LOADS)
     for name, obj in LOAD_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     # runpy runs mvtop.cli as __main__; the package binds nothing at import
@@ -709,8 +741,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         assert loaded == common | needed, argv
         # the table parser reads every well-formed argv, and no command evaluates terms
         assert not loaded & (ARGPARSE | {"mvtop.terms"}), argv
-        if argv[0] in ("mincover", "subcover"):
-            assert compiled_source_bytes(loaded) <= SOLVER_SOURCE_BUDGET, argv
+        assert compiled_source_bytes(loaded) <= SOURCE_CEILINGS[argv], argv
         if argv[0] == "verify":
             assert not DOCUMENTS & loaded, argv
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -903,6 +934,61 @@ def test_usage_errors_and_help_are_the_bytes_argparse_writes(argv):
     assert run_cli(argv) == (code, out, err)
     shows_help = "-h" in argv or "--help" in argv
     assert (code, out == "", err == "") == ((0, False, True) if shows_help else (2, True, False))
+
+
+INPUT_TEXT = ("input", "input document path, or - for stdin", None, False)
+MAX_NODES_TEXT = ("--max-nodes", None, "solver node cap")
+# command -> its help, its positionals (dest, help, choices, many) and its flags
+# (option, default, help): every string of the table that help and usage errors show
+COMMAND_TEXT = {
+    "gen": ("generate a topology from a subbase document", (INPUT_TEXT,), [("--max-opens", None, "opens size cap")]),
+    "check": (
+        "decide a property of a space document",
+        (
+            (
+                "kind", None,
+                ("topology", "compact", "strong-compact", "hausdorff", "zerodim", "stone", "large-subbase"),
+                False,
+            ),
+            INPUT_TEXT,
+        ),
+        [
+            ("--oracle", False, "force brute-force compactness"),
+            ("--max-opens", None, "oracle opens cap, with --oracle (default: the oracle's own cap)"),
+        ],
+    ),
+    "product": (
+        "build the product of space documents",
+        (("inputs", "factor space documents", None, True),),
+        [("--subbase-only", False, "emit the canonical subbase"), ("--max-opens", None, "opens size cap")],
+    ),
+    "mincover": ("least-total additive cover of a family document", (INPUT_TEXT,), [MAX_NODES_TEXT]),
+    "subcover": ("smallest covering subfamily of a family document", (INPUT_TEXT,), [MAX_NODES_TEXT]),
+    "metric": (
+        "build the topology induced by a metric document",
+        (INPUT_TEXT,),
+        [("--subbase-only", False, "emit the ball family"), ("--max-opens", None, "opens size cap")],
+    ),
+    "continuity": ("check a map document for continuity", (INPUT_TEXT,), []),
+    "verify": (
+        "run a randomized verification suite",
+        (("suite", "suite to run; an unknown name lists them", None, False),),
+        [("--seed", 0, None), ("--cases", 20, None)],
+    ),
+}
+
+
+def test_the_command_table_text_is_pinned():
+    # the test above compares main with build_parser, and both read the table:
+    # a help text, choice or default edited there changes both sides at once
+    table = {
+        name: (command.help, command.positionals, [(f[0], f[3], f[4]) for f in command.flags])
+        for name, command in cli.COMMANDS.items()
+    }
+    assert table == COMMAND_TEXT
+    code, out, _ = run_cli(["-h"])
+    assert code == 0 and out.startswith("usage: mvtop ")
+    assert "Exact workbench for finite MV-topological spaces." in out
 
 
 # -- the table parser against argparse ------------------------------------------------

@@ -187,6 +187,17 @@ def test_large_subbase_catches_missing_odd_multiple():
     assert is_large_subbase(family(X, ch4, (1,), (2,), (3,), (4,)))
 
 
+def test_large_subbase_stops_at_the_first_repeated_multiple(monkeypatch):
+    calls = []
+    scaled = FuzzySet.scaled
+    monkeypatch.setattr(FuzzySet, "scaled", lambda self, k: calls.append(k) or scaled(self, k))
+    quarters = family(AB, Chain(1000), (0, 0), (250, 0), (500, 0), (750, 0), (1000, 0), (1000, 1000))
+    assert is_large_subbase(quarters)
+    # (250, 0) scales to 3 new multiples, then repeats; (500, 0) and (750, 0)
+    # to 1; the crisp members repeat at once: not 999 calls a member
+    assert len(calls) == 4 + 2 + 2 + 1 + 1 + 1
+
+
 def test_closed_sets_and_clopens():
     topology = generate_from_subbase(family(X, CH2, (1,)))
     assert [c.values for c in closed_sets(topology)] == [(0,), (1,), (2,)]
