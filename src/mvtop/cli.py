@@ -1,89 +1,30 @@
 """Command-line front end: JSON documents in, verdicts and documents out.
 
-Each subcommand returns its report; `main` alone writes it and picks the exit
-code: 1 when its verdict or feasibility is false or a suite case failed, else
-0; 2 on a usage or input error and 3 on an exceeded cap, reported on stderr
-with nothing on stdout.  No result exceeds its cap: `gen`, `product` and
-`metric` exit 3 rather than print more opens than `--max-opens`, else the
-document cap of `gen`, allows.  A flag that would be ignored is refused (exit
-2): `--oracle` on `check` kinds other than compact and strong-compact, `check
---max-opens` without `--oracle`, and `--max-opens` with `--subbase-only`.
-Output is canonical, so a rerun on identical input produces byte-identical
-bytes.  A report that cannot be written (a full disk, a closed pipe, no
-stdout) is one `error: cannot write the output: ...` line on stderr and exit
-2; an error line that stderr cannot take is dropped, and the exit code stays.
+`main` writes each command's report and picks the exit code: 1 when a verdict
+or feasibility is false or a suite case failed, else 0; 2 on a usage or input
+error and 3 on an exceeded cap, each with one `error:` line on stderr (the
+README has the whole contract).
 
-Every command runs in a fresh process, where importing the package can cost
-more than the computation, so a command imports what only it runs inside its
-function: the solvers, maps, products, metrics and suites, and `documents`
-(with `json`), which the helpers that read or write a document import; `verify`
-reads and writes none.  At module level the CLI loads only the topology core,
-and must: a benchmark self-test wraps `cli.generate_from_subbase`.  `main`
-reads a well-formed argv off the table `COMMANDS` and leaves any other, help
-and usage errors included, to `build_parser`, its argparse parser: a
-well-formed request imports neither argparse nor `gettext` and `locale`.
-
-For the same reason `run`, the entry of `python -m mvtop.cli` and of the
-`mvtop` script, ends the process with `os._exit` once `main` has written and
-flushed its report: the interpreter does not tear down its modules and objects.
-An exception that escapes `main` still takes the normal exit, with its
-traceback.  To profile a command, wrap `main` in process: `python -m cProfile
--m mvtop.cli` prints the report, but the process ends before the profile.
+A request is a fresh process, which compiles what it imports, so this module
+is a dispatcher: a `COMMANDS` runner is "module:function", and `main` imports
+its module only to run it.  `topology` is loaded here while the benchmark's
+tracer wraps `cli.generate_from_subbase`.  A well-formed argv is read off
+`COMMANDS`, any other goes to argparse (`build_parser`): a well-formed request
+imports no argparse, `gettext` or `locale`.  `run` ends the process with
+`os._exit` once `main` has flushed its report; profile `main` in process.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 
 from .core import Record
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .topology import (
-    DEFAULT_MAX_OPENS,
-    Topology,
-    base_witness,
-    check_hausdorff,
-    clopens,
-    generate_from_subbase,
-    is_compact,
-    is_strongly_compact,
-    is_zero_dimensional,
-    large_subbase_witness,
-    topology_violation,
-)
+from .topology import DEFAULT_MAX_OPENS, generate_from_subbase
 
-
-def _load(path: str) -> object:
-    from .documents import loads_document, read_document
-
-    if path != "-":
-        return read_document(path, repr(path))
-    try:
-        if sys.stdin is None:  # the process started with stdin closed
-            raise OSError("stdin is closed")
-        text = sys.stdin.read()
-    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, a closed stream
-        raise InputError(f"cannot read '-': {exc}") from None
-    return loads_document(text, "'-'")
-
-
-def _space_document(path: str) -> SpaceDocument:
-    from .documents import parse_space_document
-
-    return parse_space_document(_load(path))
-
-
-def _require_opens(doc: SpaceDocument, what: str) -> None:
-    if doc.kind != "opens":
-        raise InputError(f"{what} requires a document with explicit opens")
-
-
-def _topology_from(doc: SpaceDocument, what: str) -> Topology:
-    _require_opens(doc, what)
-    violation = topology_violation(doc.family)
-    if violation is not None:
-        raise InputError(f"{what} requires a valid topology: {violation}")
-    return Topology(doc.carrier, doc.chain, doc.family)
+CHECK_KINDS = ("topology", "compact", "strong-compact", "hausdorff", "zerodim", "stone", "large-subbase")
 
 
 def _positive_int(text: str) -> int:
@@ -99,208 +40,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _max_opens(args, caps: dict[str, int]) -> int:
-    """The closure cap: the --max-opens flag, else the document cap, else the default."""
-    return args.max_opens or caps.get("max_opens") or DEFAULT_MAX_OPENS
+def gen(args) -> dict:
+    from .documents import _space_document, _space_report
 
-
-def _max_nodes(args) -> int:
-    """The solver node cap: the --max-nodes flag, else the solvers' default."""
-    from .covers import DEFAULT_MAX_NODES
-
-    return args.max_nodes or DEFAULT_MAX_NODES
-
-
-def _subbase_only(args) -> bool:
-    """Whether to stop at the subbase; a cap on a closure that is not built is refused."""
-    if args.subbase_only and args.max_opens is not None:
-        raise InputError("--max-opens bounds the closure, which --subbase-only does not build")
-    return args.subbase_only
-
-
-def _verdict(witness, render) -> dict:
-    """The report of a check that finds a witness of failure or none."""
-    if witness is None:
-        return {"verdict": True}
-    return {"verdict": False, "witness": render(witness)}
-
-
-def _space_report(space, kind: str, family, name: str | None, caps: dict[str, int]) -> dict:
-    """The family as a space document of the kind, on the chain and carrier of the space."""
-    from .documents import SpaceDocument, space_document_to_obj
-
-    doc = SpaceDocument(space.chain, space.carrier, kind, family, name, caps)
-    return space_document_to_obj(doc)
-
-
-# -- check kinds: each returns its report fields -----------------------------------
-
-
-def _check_topology(doc: SpaceDocument, args) -> dict:
-    _require_opens(doc, "check topology")
-    return _verdict(topology_violation(doc.family), str)
-
-
-def _check_large_subbase(doc: SpaceDocument, args) -> dict:
-    def render(witness) -> dict:
-        member, k, multiple = witness
-        return {"member": list(member.values), "multiplicity": k, "missing": list(multiple.values)}
-
-    return _verdict(large_subbase_witness(doc.family), render)
-
-
-def _on_topology(check):
-    """A check of a valid topology as a check of a document with explicit opens."""
-
-    def on_document(doc: SpaceDocument, args) -> dict:
-        return check(_topology_from(doc, f"check {args.kind}"), args)
-
-    return on_document
-
-
-def _check_compact(topology: Topology, args) -> dict:
-    strong = args.kind == "strong-compact"
-    if not args.oracle:
-        verdict = is_strongly_compact(topology) if strong else is_compact(topology)
-        return {"verdict": verdict, "method": "finite-model-criterion"}
-    from . import oracles
-
-    search = oracles.brute_force_strong_compactness if strong else oracles.brute_force_compactness
-    oracle = search(topology, max_opens=args.max_opens or oracles.DEFAULT_ORACLE_OPENS)
-    report = {"verdict": oracle.compact, "method": "brute-force"}
-    report["covers_checked"] = oracle.covers_checked
-    if oracle.counterexample is not None:
-        report["witness"] = [list(o.values) for o in oracle.counterexample]
-    return report
-
-
-def _check_hausdorff(topology: Topology, args) -> dict:
-    def labels(pair) -> list[str]:
-        return [topology.carrier.label(x) for x in pair]
-
-    separation = check_hausdorff(topology)
-    if not separation.hausdorff:
-        return _verdict(separation.failing_pair, lambda pair: {"pair": labels(pair)})
-    witnesses = [
-        {"pair": labels(pair), "first": list(ox.values), "second": list(oy.values)}
-        for pair, (ox, oy) in separation.witnesses
-    ]
-    return {"verdict": True, "witnesses": witnesses}
-
-
-def _check_zerodim(topology: Topology, args) -> dict:
-    return _verdict(base_witness(clopens(topology), topology), lambda w: list(w.values))
-
-
-def _check_stone(topology: Topology, args) -> dict:
-    compact = is_compact(topology)
-    hausdorff = check_hausdorff(topology).hausdorff
-    zerodim = is_zero_dimensional(topology)
-    verdict = compact and hausdorff and zerodim
-    return {"verdict": verdict, "compact": compact, "hausdorff": hausdorff, "zerodim": zerodim}
-
-
-CHECKS = {
-    "topology": _check_topology,
-    "compact": _on_topology(_check_compact),
-    "strong-compact": _on_topology(_check_compact),
-    "hausdorff": _on_topology(_check_hausdorff),
-    "zerodim": _on_topology(_check_zerodim),
-    "stone": _on_topology(_check_stone),
-    "large-subbase": _check_large_subbase,
-}
-CHECK_KINDS = tuple(CHECKS)
-
-
-# -- subcommands: each returns its report ------------------------------------------
-
-
-def _cmd_gen(args) -> dict:
     doc = _space_document(args.input)
-    topology = generate_from_subbase(doc.family, max_size=_max_opens(args, doc.caps))
+    cap = args.max_opens or doc.caps.get("max_opens") or DEFAULT_MAX_OPENS
+    topology = generate_from_subbase(doc.family, max_size=cap)
     return _space_report(doc, "opens", topology.opens, doc.name, doc.caps)
 
 
-def _cmd_check(args) -> dict:
-    if args.oracle and args.kind not in ("compact", "strong-compact"):
-        raise InputError(f"--oracle applies to compact and strong-compact, not {args.kind}")
-    if args.max_opens is not None and not args.oracle:
-        raise InputError("--max-opens bounds the brute-force oracle and requires --oracle")
-    doc = _space_document(args.input)
-    return {"check": args.kind, **CHECKS[args.kind](doc, args)}
-
-
-def _cmd_product(args) -> dict:
-    from .product import product
-
-    subbase_only = _subbase_only(args)
-    docs = [_space_document(path) for path in args.inputs]
-    factors = [_topology_from(doc, "product") for doc in docs]
-    space = product(factors, max_opens=_max_opens(args, {}))
-    if subbase_only:
-        return _space_report(space, "subbase", space.subbase, None, {})
-    return _space_report(space, "opens", space.topology().opens, None, {})
-
-
-def _cmd_mincover(args) -> dict:
-    from .covers import minimal_additive_cover_search
-    from .documents import parse_family_document
-
-    doc = parse_family_document(_load(args.input))
-    certificate = minimal_additive_cover_search(doc.family, max_nodes=_max_nodes(args)).certificate
-    report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
-    report["feasible"] = certificate is not None
-    if certificate is not None:
-        report["entries"] = [
-            {"vector": list(member.values), "multiplicity": mult}
-            for member, mult in certificate.entries
-        ]
-        report["total"] = certificate.total_multiplicity
-    return report
-
-
-def _cmd_subcover(args) -> dict:
-    from .covers import minimal_subcover_search
-    from .documents import parse_family_document
-
-    doc = parse_family_document(_load(args.input))
-    subcover = minimal_subcover_search(doc.family, max_nodes=_max_nodes(args)).subcover
-    report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
-    report["feasible"] = subcover is not None
-    if subcover is not None:
-        report["family"] = [list(m.values) for m in subcover.members]
-        report["size"] = len(subcover)
-    return report
-
-
-def _cmd_metric(args) -> dict:
-    from .documents import parse_metric_document
-    from .metric import metric_ball_family, metric_induced
-
-    subbase_only = _subbase_only(args)
-    doc = parse_metric_document(_load(args.input))
-    metric = doc.metric
-    if subbase_only:
-        balls = metric_ball_family(metric, doc.centers, doc.radii)
-        return _space_report(metric, "subbase", balls, doc.name, {})
-    topology = metric_induced(metric, doc.centers, doc.radii, max_size=_max_opens(args, {}))
-    return _space_report(metric, "opens", topology.opens, doc.name, {})
-
-
-def _cmd_continuity(args) -> dict:
-    from pathlib import Path
-
-    from .documents import parse_map_document
-    from .maps import continuity_counterexample
-
-    doc = parse_map_document(_load(args.input), base_dir=Path(args.input).parent)
-    domain = _topology_from(doc.domain, "continuity domain")
-    codomain = _topology_from(doc.codomain, "continuity codomain")
-    witness = continuity_counterexample(doc.map, domain, codomain)
-    return {"check": "continuity", **_verdict(witness, lambda w: list(w.values))}
-
-
-def _cmd_verify(args):
+def verify(args):
     from . import suites
 
     names = ", ".join(sorted(suites.SUITES))
@@ -313,10 +62,10 @@ def _cmd_verify(args):
 
 
 class Command(Record):
-    """A command's runner, help, positionals and flags.  A positional is (dest,
-    help, choices, many): any value if `choices` is None, one or more if `many`
-    (then the only one).  A flag is (option, dest, convert, default, help),
-    store-true if `convert` is None."""
+    """A command's runner, as "module:function", help, positionals and flags.  A
+    positional is (dest, help, choices, many): any value if `choices` is None,
+    one or more if `many` (then the only one).  A flag is (option, dest,
+    convert, default, help), store-true if `convert` is None."""
 
     __slots__ = ("run", "help", "positionals", "flags")
 
@@ -327,9 +76,9 @@ MAX_NODES = ("--max-nodes", "max_nodes", _positive_int, None, "solver node cap")
 ORACLE_CAP = "oracle opens cap, with --oracle (default: the oracle's own cap)"
 
 COMMANDS = {
-    "gen": Command(_cmd_gen, "generate a topology from a subbase document", (INPUT,), (MAX_OPENS,)),
+    "gen": Command("cli:gen", "generate a topology from a subbase document", (INPUT,), (MAX_OPENS,)),
     "check": Command(
-        _cmd_check,
+        "cli_spaces:check",
         "decide a property of a space document",
         (("kind", None, CHECK_KINDS, False), INPUT),
         (
@@ -338,31 +87,40 @@ COMMANDS = {
         ),
     ),
     "product": Command(
-        _cmd_product,
+        "cli_spaces:product",
         "build the product of space documents",
         (("inputs", "factor space documents", None, True),),
         (("--subbase-only", "subbase_only", None, False, "emit the canonical subbase"), MAX_OPENS),
     ),
     "mincover": Command(
-        _cmd_mincover, "least-total additive cover of a family document", (INPUT,), (MAX_NODES,)
+        "cli_covers:mincover", "least-total additive cover of a family document", (INPUT,), (MAX_NODES,)
     ),
     "subcover": Command(
-        _cmd_subcover, "smallest covering subfamily of a family document", (INPUT,), (MAX_NODES,)
+        "cli_covers:subcover", "smallest covering subfamily of a family document", (INPUT,), (MAX_NODES,)
     ),
     "metric": Command(
-        _cmd_metric,
+        "cli_spaces:metric",
         "build the topology induced by a metric document",
         (INPUT,),
         (("--subbase-only", "subbase_only", None, False, "emit the ball family"), MAX_OPENS),
     ),
-    "continuity": Command(_cmd_continuity, "check a map document for continuity", (INPUT,), ()),
+    "continuity": Command("cli_spaces:continuity", "check a map document for continuity", (INPUT,), ()),
     "verify": Command(
-        _cmd_verify,
+        "cli:verify",
         "run a randomized verification suite",
         (("suite", "suite to run; an unknown name lists them", None, False),),
         (("--seed", "seed", int, 0, None), ("--cases", "cases", _positive_int, 20, None)),
     ),
 }
+
+
+def _option_like(token: str) -> bool:
+    r"""Whether argparse may read the token as an option: "-" and more, but not a
+    negative number by its rule `^-\d+$|^-\d*\.\d+$` (`\d` is `isdecimal`; a
+    trailing newline, which `$` accepts, is left to argparse)."""
+    whole, dot, fraction = token[1:].partition(".")
+    number = (whole + fraction).isdecimal() and (fraction or not dot)
+    return token[:1] == "-" and token != "-" and not number
 
 
 class Arguments:
@@ -388,7 +146,7 @@ def parse_args(argv: list[str]) -> Arguments | None:
     for token in tokens:
         flag = flags.pop(token, None)
         if flag is None:
-            if token.startswith("-") and token != "-":
+            if _option_like(token):
                 return None
             runs += after_flag
             after_flag = False
@@ -400,7 +158,7 @@ def parse_args(argv: list[str]) -> Arguments | None:
             values[dest] = True
             continue
         text = next(tokens, None)
-        if text is None or text.startswith("-"):
+        if text is None or _option_like(text):
             return None
         try:
             values[dest] = convert(text)
@@ -447,8 +205,13 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help, or a usage error already on stderr
             return _emit("", int(exc.code or 0))
+    module, _, name = COMMANDS[args.command].run.partition(":")
+    if module == "cli":  # this module, which may run as __main__
+        runner = globals()[name]
+    else:
+        runner = getattr(importlib.import_module(f"{__package__}.{module}"), name)
     try:
-        report = COMMANDS[args.command].run(args)
+        report = runner(args)
     except (InputError, PreconditionError) as exc:
         return _error(exc, 2)
     except ResourceLimitError as exc:

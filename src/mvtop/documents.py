@@ -5,15 +5,18 @@ and all JSON is decoded by `loads_document`; each failure, a key given twice in
 one object too, is one `InputError` naming its input.  Family documents are
 `SpaceDocument`s of kind "family".  A document record is built with every
 field given, the absent `name` as None and the absent caps as `{}`.
-Documents are exact: integer chain values only, and rationals written as
-integers or "p/q" strings.  Serialization is canonical, so identical inputs
-produce byte-identical outputs and parse/serialize round-trips are the
-identity.
+Documents are exact: integer chain values only.  Serialization is canonical,
+so identical inputs produce byte-identical outputs and parse/serialize
+round-trips are the identity.
+
+`_load`, `_space_document` and `_space_report` serve the CLI commands.
+Metric documents are `metric`'s.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, PointMap, Record
@@ -82,27 +85,6 @@ def _parse_caps(raw: object) -> dict[str, int]:
         if caps[key] < 1:
             raise InputError(f"cap {key} must be >= 1")
     return caps
-
-
-def parse_rational(value: object, what: str) -> Fraction:
-    from fractions import Fraction
-
-    if isinstance(value, bool):
-        raise InputError(f"{what} must be an integer or 'p/q' string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{what} is not a valid rational: {value!r}") from None
-    raise InputError(f"{what} must be an integer or 'p/q' string, got {value!r}")
-
-
-def render_rational(value: Fraction) -> int | str:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
 
 
 class SpaceDocument(Record):
@@ -185,65 +167,6 @@ def map_document_to_obj(doc: MapDocument) -> dict:
     return out
 
 
-class MetricDocument(Record):
-    """A finite metric with optional explicit ball centers and radii."""
-
-    __slots__ = ("metric", "centers", "radii", "name")
-    metric: MetricInstance
-    centers: tuple[FuzzyPoint, ...] | None
-    radii: tuple[Fraction, ...] | None
-    name: str | None
-
-
-def parse_metric_document(obj: object) -> MetricDocument:
-    from .metric import FuzzyPoint, MetricInstance
-
-    _require_keys(obj, {"chain", "points", "dist"}, {"name", "centers", "radii"}, "metric document")
-    chain, carrier = _parse_header(obj, "metric document")
-    rows = obj["dist"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputError("dist must be a matrix of rationals")
-    metric = MetricInstance(
-        carrier,
-        chain,
-        tuple(tuple(parse_rational(d, "distance") for d in row) for row in rows),
-    )
-    centers = None
-    if "centers" in obj:
-        raw = obj["centers"]
-        if not isinstance(raw, list):
-            raise InputError("centers must be a list of [label, value] pairs")
-        parsed = []
-        for pair in raw:
-            if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-                raise InputError("each center must be a [label, value] pair")
-            parsed.append(
-                FuzzyPoint(carrier.index(pair[0]), _require_int(pair[1], "center value"))
-            )
-        centers = tuple(parsed)
-    radii = None
-    if "radii" in obj:
-        raw = obj["radii"]
-        if not isinstance(raw, list):
-            raise InputError("radii must be a list of rationals")
-        radii = tuple(parse_rational(r, "radius") for r in raw)
-    return MetricDocument(metric, centers, radii, _parse_name(obj))
-
-
-def metric_document_to_obj(doc: MetricDocument) -> dict:
-    out = _named(doc)
-    out["chain"] = doc.metric.chain.n
-    out["points"] = list(doc.metric.carrier.points)
-    out["dist"] = [[render_rational(d) for d in row] for row in doc.metric.dist]
-    if doc.centers is not None:
-        out["centers"] = [
-            [doc.metric.carrier.label(c.support), c.value] for c in doc.centers
-        ]
-    if doc.radii is not None:
-        out["radii"] = [render_rational(r) for r in doc.radii]
-    return out
-
-
 def dumps_canonical(obj: dict) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
 
@@ -277,3 +200,25 @@ def read_document(path: str | Path, what: str) -> object:
     except (OSError, ValueError) as exc:  # ValueError: non-UTF-8 bytes, a NUL in the path
         raise InputError(f"cannot read {what}: {exc}") from None
     return loads_document(text, what)
+
+
+def _load(path: str) -> object:
+    """The decoded document at `path`, or on stdin if `path` is "-"."""
+    if path != "-":
+        return read_document(path, repr(path))
+    try:
+        if sys.stdin is None:  # the process started with stdin closed
+            raise OSError("stdin is closed")
+        text = sys.stdin.read()
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, a closed stream
+        raise InputError(f"cannot read '-': {exc}") from None
+    return loads_document(text, "'-'")
+
+
+def _space_document(path: str) -> SpaceDocument:
+    return parse_space_document(_load(path))
+
+
+def _space_report(space, kind: str, family, name: str | None, caps: dict[str, int]) -> dict:
+    """The family as a space document of the kind, on the chain and carrier of the space."""
+    return space_document_to_obj(SpaceDocument(space.chain, space.carrier, kind, family, name, caps))

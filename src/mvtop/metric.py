@@ -2,7 +2,9 @@
 
 Distances and radii are exact rationals, so this is the one module that needs
 `fractions`.  Balls are made one at a time, center-major, so a closure cap
-stops `metric_induced` as soon as the distinct balls exceed it.
+stops `metric_induced` as soon as the distinct balls exceed it.  The metric
+document, whose rationals are written as integers or "p/q" strings, is read
+and written here: only the `metric` command uses it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record
+from .documents import _named, _parse_header, _parse_name, _require_int, _require_keys
 from .errors import InputError
 from .topology import DEFAULT_MAX_OPENS, Topology, _extend, generate_from_subbase
 
@@ -154,3 +157,82 @@ def metric_induced(
     balls: list[tuple[int, ...]] = []
     _extend(balls, set(), _balls(metric, centers, radii), max_size, "base")
     return generate_from_subbase(_family(metric, balls), max_size=max_size)
+
+
+# -- metric documents -----------------------------------------------------------
+
+
+def parse_rational(value: object, what: str) -> Fraction:
+    if isinstance(value, bool):
+        raise InputError(f"{what} must be an integer or 'p/q' string, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{what} is not a valid rational: {value!r}") from None
+    raise InputError(f"{what} must be an integer or 'p/q' string, got {value!r}")
+
+
+def render_rational(value: Fraction) -> int | str:
+    if value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+class MetricDocument(Record):
+    """A finite metric with optional explicit ball centers and radii."""
+
+    __slots__ = ("metric", "centers", "radii", "name")
+    metric: MetricInstance
+    centers: tuple[FuzzyPoint, ...] | None
+    radii: tuple[Fraction, ...] | None
+    name: str | None
+
+
+def parse_metric_document(obj: object) -> MetricDocument:
+    _require_keys(obj, {"chain", "points", "dist"}, {"name", "centers", "radii"}, "metric document")
+    chain, carrier = _parse_header(obj, "metric document")
+    rows = obj["dist"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InputError("dist must be a matrix of rationals")
+    metric = MetricInstance(
+        carrier,
+        chain,
+        tuple(tuple(parse_rational(d, "distance") for d in row) for row in rows),
+    )
+    centers = None
+    if "centers" in obj:
+        raw = obj["centers"]
+        if not isinstance(raw, list):
+            raise InputError("centers must be a list of [label, value] pairs")
+        parsed = []
+        for pair in raw:
+            if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
+                raise InputError("each center must be a [label, value] pair")
+            parsed.append(
+                FuzzyPoint(carrier.index(pair[0]), _require_int(pair[1], "center value"))
+            )
+        centers = tuple(parsed)
+    radii = None
+    if "radii" in obj:
+        raw = obj["radii"]
+        if not isinstance(raw, list):
+            raise InputError("radii must be a list of rationals")
+        radii = tuple(parse_rational(r, "radius") for r in raw)
+    return MetricDocument(metric, centers, radii, _parse_name(obj))
+
+
+def metric_document_to_obj(doc: MetricDocument) -> dict:
+    out = _named(doc)
+    out["chain"] = doc.metric.chain.n
+    out["points"] = list(doc.metric.carrier.points)
+    out["dist"] = [[render_rational(d) for d in row] for row in doc.metric.dist]
+    if doc.centers is not None:
+        out["centers"] = [
+            [doc.metric.carrier.label(c.support), c.value] for c in doc.centers
+        ]
+    if doc.radii is not None:
+        out["radii"] = [render_rational(r) for r in doc.radii]
+    return out

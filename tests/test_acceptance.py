@@ -29,10 +29,8 @@ from mvtop.covers import minimal_additive_cover_search, minimal_subcover_search
 from mvtop.documents import (
     dumps_canonical,
     map_document_to_obj,
-    metric_document_to_obj,
     parse_family_document,
     parse_map_document,
-    parse_metric_document,
     parse_space_document,
     space_document_to_obj,
 )
@@ -42,6 +40,7 @@ from mvtop.generators import (
     random_hausdorff_topology,
     random_term,
 )
+from mvtop.metric import metric_document_to_obj, parse_metric_document
 from mvtop.oracles import (
     exhaustive_additive_subcover_exists,
     exhaustive_minimal_additive_cover,

@@ -10,15 +10,18 @@ from mvtop.documents import (
     loads_document,
     parse_family_document,
     parse_map_document,
-    parse_metric_document,
-    parse_rational,
     parse_space_document,
     map_document_to_obj,
-    metric_document_to_obj,
-    render_rational,
     space_document_to_obj,
 )
-from mvtop.metric import FuzzyPoint, metric_ball_family
+from mvtop.metric import (
+    FuzzyPoint,
+    metric_ball_family,
+    metric_document_to_obj,
+    parse_metric_document,
+    parse_rational,
+    render_rational,
+)
 from mvtop.product import product, tupling
 
 

@@ -1,18 +1,22 @@
-"""Planted mutants of the closure, validation, lane and predicate fast paths.
+"""Planted mutants of the closure, validation, lane and predicate fast paths
+and of the cover solvers.
 
 Each mutant is the real function recompiled from its source with one edit.  It
 replaces the function wherever a module binds it by name, and only the gate
-that names it is run against it: the gate must fail.
+that names it is run against it: the gate must fail, by a failed assertion or
+by the crash its row names in `CRASHES`.
 """
 
 import sys
 
 import pytest
 
+import test_acceptance
 import test_cli
+import test_covers
 import test_lanes
 import test_topology
-from mvtop import core, topology
+from mvtop import InputError, core, covers, topology
 from test_families import planted
 
 
@@ -37,6 +41,7 @@ def lane_ops_at_the_edges():
 SEEDED_GENERATION = test_topology.test_generation_matches_naive_oracle_on_samples
 BROKEN_FAMILIES = test_lanes.test_violation_on_broken_families_matches_reference_scan
 SEEDED_HAUSDORFF = test_lanes.test_closed_form_hausdorff_matches_the_pair_search_on_seeded_topologies
+SOLVER_MINIMA = test_covers.test_solvers_match_exhaustive_minima
 
 # (id, owner, name, old, new, gate)
 MUTANTS = [
@@ -107,13 +112,44 @@ MUTANTS = [
         "lanes-oplus", core.Lanes, "oplus",
         "(s ^ self.top) & (g - (g >> self.shift))", "(s ^ self.top) & g", lane_ops_at_the_edges,
     ),
+    # the solvers' bounds one off: too large prunes the optimum; too small ends a
+    # branch whose residual is still open as if it were covered
+    (
+        "mincover-bound-up", covers, "minimal_additive_cover_search",
+        "need = -(-r // m)", "need = -(-r // m) + 1", SOLVER_MINIMA,
+    ),
+    (
+        "mincover-bound-down", covers, "minimal_additive_cover_search",
+        "need = -(-r // m)", "need = -(-r // m) - 1", SOLVER_MINIMA,
+    ),
+    (
+        "subcover-bound-up", covers, "minimal_subcover_search",
+        "lb = -(-missing.bit_count() // suffix_best[idx])",
+        "lb = -(-missing.bit_count() // suffix_best[idx]) + 1", SOLVER_MINIMA,
+    ),
+    # the tie-break order: exclude-first subcover search, descending multiplicities
+    (
+        "subcover-exclude-first", covers, "minimal_subcover_search",
+        "stack.append((idx + 1, chosen, missing))\n"
+        "        stack.append((idx + 1, chosen + (idx,), missing & ~full[idx]))",
+        "stack.append((idx + 1, chosen + (idx,), missing & ~full[idx]))\n"
+        "        stack.append((idx + 1, chosen, missing))",
+        test_covers.test_search_results_nodes_and_cap_errors_are_pinned,
+    ),
+    (
+        "mincover-descending", covers, "minimal_additive_cover_search",
+        "for m in range(0, n + 1):", "for m in range(n, -1, -1):",
+        test_acceptance.test_criterion_09_solver_optimality,
+    ),
 ]
+# mutant id -> the error its gate fails with where that is a crash, not an assertion:
+# where every point has a member at the top value, the bound at the root is 0, and the
+# search records the all-zero vector, an empty certificate
+CRASHES = {"mincover-bound-down": InputError}
 
 
-@pytest.mark.parametrize(
-    "owner, name, old, new, gate", [row[1:] for row in MUTANTS], ids=[row[0] for row in MUTANTS]
-)
-def test_a_planted_mutant_fails_its_gate(monkeypatch, owner, name, old, new, gate):
+@pytest.mark.parametrize("mutant, owner, name, old, new, gate", MUTANTS, ids=[row[0] for row in MUTANTS])
+def test_a_planted_mutant_fails_its_gate(monkeypatch, mutant, owner, name, old, new, gate):
     plant(monkeypatch, owner, name, old, new)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CRASHES.get(mutant, AssertionError)):
         gate()

@@ -36,7 +36,8 @@ from mvtop import (
     Topology,
 )
 from mvtop.covers import AdditiveCoverSearch, SubcoverSearch
-from mvtop.documents import MapDocument, MetricDocument, SpaceDocument
+from mvtop.documents import MapDocument, SpaceDocument
+from mvtop.metric import MetricDocument
 from mvtop.oracles import CompactnessOracleReport
 from mvtop.product import UniversalPropertyReport
 from mvtop.suites import SuiteReport

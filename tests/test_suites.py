@@ -19,7 +19,11 @@ from mvtop import (
     is_topology,
     maps,
     oracles,
-    suites,
+    suite_algebra,
+    suite_alexander,
+    suite_continuity,
+    suite_generation,
+    suite_products,
     topology,
 )
 from mvtop import cli, generators
@@ -146,7 +150,7 @@ FORCED_FAILURES = [
     ),
     # the crisp support is built as the zero set
     (
-        "algebra", suites, "FuzzySet", lambda carrier, chain, values: FuzzySet.zero(carrier, chain),
+        "algebra", suite_algebra, "FuzzySet", lambda carrier, chain, values: FuzzySet.zero(carrier, chain),
         (6, 0, "saturated multiple is not the crisp support at n=2, alpha=(1,), beta=(1,)"),
     ),
     (
@@ -155,16 +159,16 @@ FORCED_FAILURES = [
         (6, 0, "fixpoint generation disagrees with the naive closure on n=1, points=('a', 'b'), subbase=[]"),
     ),
     (
-        "generation", suites, "is_topology", lambda family: False,
+        "generation", suite_generation, "is_topology", lambda family: False,
         (6, 0, "generated family is not a topology at n=1, subbase=[]"),
     ),
     (
-        "generation", suites, "is_subbase", lambda candidate, topology: False,
+        "generation", suite_generation, "is_subbase", lambda candidate, topology: False,
         (6, 0, "the generator family is not a subbase of its own topology at n=1, subbase=[]"),
     ),
     (
         # a base closure that drops its last member loses one more on every call
-        "generation", suites, "base_from_subbase",
+        "generation", suite_generation, "base_from_subbase",
         lambda family: FuzzyFamily(family.carrier, family.chain, family.members[:-1]),
         (2, 2, "base closure is not idempotent at n=2, subbase=[(1, 0), (1, 1), (2, 1)]"),
     ),
@@ -175,11 +179,11 @@ FORCED_FAILURES = [
         (3, 1, "base closure is not monotone at n=2, subbase=[(0, 2)]"),
     ),
     (
-        "generation", suites, "closed_sets", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
+        "generation", suite_generation, "closed_sets", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
         (6, 0, "closed sets are not closed under the dual operations at n=1, subbase=[]"),
     ),
     (
-        "generation", suites, "clopens", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
+        "generation", suite_generation, "clopens", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
         (6, 0, "clopens do not form a topology at n=1, subbase=[]"),
     ),
     (
@@ -192,7 +196,7 @@ FORCED_FAILURES = [
     ),
     # the pulled-back subbase is the zero set alone
     (
-        "continuity", suites, "mv_preimage", lambda f, alpha: FuzzySet.zero(f.domain, alpha.chain),
+        "continuity", suite_continuity, "mv_preimage", lambda f, alpha: FuzzySet.zero(f.domain, alpha.chain),
         (
             1, 2,
             "pullback-built map is not continuous at n=2, map=(2, 2), domain opens=[(0, 0), (0, 1), "
@@ -220,7 +224,7 @@ FORCED_FAILURES = [
     ),
     (
         # the Lemma 1 check that lemma1 runs on one cover, tychonoff runs on 20
-        "tychonoff", suites, "_single_factor_form", lambda space, result: False,
+        "tychonoff", suite_products, "_single_factor_form", lambda space, result: False,
         (
             6, 0,
             "extracted certificate mixes factors at factor 0: opens=[(0, 0), (1, 1)]; "
@@ -228,7 +232,7 @@ FORCED_FAILURES = [
         ),
     ),
     (
-        "hausdorff-product", suites, "is_hausdorff", lambda t: False,
+        "hausdorff-product", suite_products, "is_hausdorff", lambda t: False,
         (
             6, 0,
             "product of separated factors is not separated at factor 0: opens=[(0, 0), (0, 1), "
@@ -236,7 +240,7 @@ FORCED_FAILURES = [
         ),
     ),
     (
-        "hausdorff-product", suites, "mv_preimage", lambda f, alpha: FuzzySet.zero(f.domain, alpha.chain),
+        "hausdorff-product", suite_products, "mv_preimage", lambda f, alpha: FuzzySet.zero(f.domain, alpha.chain),
         (
             5, 0,
             "lifted witnesses miss the top value at factor 0: opens=[(0, 0), (0, 1), (1, 0), (1, 1)]; "
@@ -260,7 +264,7 @@ FORCED_FAILURES = [
         ),
     ),
     (
-        "zerodim-product", suites, "is_zero_dimensional", lambda t: False,
+        "zerodim-product", suite_products, "is_zero_dimensional", lambda t: False,
         (
             6, 0,
             "product of zero-dimensional factors is not zero-dimensional at factor 0: "
@@ -268,7 +272,7 @@ FORCED_FAILURES = [
         ),
     ),
     (
-        "stone-product", suites, "is_stone", lambda t: False,
+        "stone-product", suite_products, "is_stone", lambda t: False,
         (
             6, 0,
             "product of Stone factors is not Stone at factor 0: opens=[(0, 0), (0, 1), (1, 0), "
@@ -293,7 +297,7 @@ FORCED_FAILURES = [
     ),
     # the set drawn above a non-member is the zero set
     (
-        "alexander-claims", suites, "FuzzySet", lambda carrier, chain, values: FuzzySet.zero(carrier, chain),
+        "alexander-claims", suite_alexander, "FuzzySet", lambda carrier, chain, values: FuzzySet.zero(carrier, chain),
         (
             6, 0,
             "a set above a non-member landed in the ideal at n=1, points=('a', 'b'), zero coordinates=[0, 1]",
@@ -313,7 +317,7 @@ FORCED_FAILURES = [
     ),
     # the drawn non-cover is a cover
     (
-        "lemma1", suites, "random_subbasic_noncover", suites.random_subbasic_cover,
+        "lemma1", suite_products, "random_subbasic_noncover", suite_products.random_subbasic_cover,
         (
             3, 1,
             "a non-cover was not rejected at factor 0: opens=[(0, 0), (2, 2)]; "
@@ -321,7 +325,7 @@ FORCED_FAILURES = [
         ),
     ),
     (
-        "lemma1", suites, "_single_factor_form", lambda space, result: False,
+        "lemma1", suite_products, "_single_factor_form", lambda space, result: False,
         (
             3, 0,
             "extracted certificate mixes factors at factor 0: opens=[(0, 0), (1, 1)]; "
@@ -519,5 +523,5 @@ def test_a_stone_sampler_accepting_hausdorff_spaces_is_an_equivalent_mutant(monk
 
     weakened = planted(generators.random_stone_topology, "is_stone", "is_hausdorff")
     before = run_suite("stone-product", 5, 30)
-    monkeypatch.setattr(suites, "random_stone_topology", weakened)
+    monkeypatch.setattr(suite_products, "random_stone_topology", weakened)
     assert run_suite("stone-product", 5, 30) == before == SuiteReport("stone-product", 5, 30, 30, 0, None, None)
