@@ -46,7 +46,7 @@ def gen(args) -> dict:
     doc = _space_document(args.input)
     cap = args.max_opens or doc.caps.get("max_opens") or DEFAULT_MAX_OPENS
     topology = generate_from_subbase(doc.family, max_size=cap)
-    return _space_report(doc, "opens", topology.opens, doc.name, doc.caps)
+    return _space_report("opens", topology.opens, doc.name, doc.caps)
 
 
 def verify(args):

@@ -29,7 +29,7 @@ def _topology_from(doc: SpaceDocument, what: str) -> Topology:
     violation = topology_violation(doc.family)
     if violation is not None:
         raise InputError(f"{what} requires a valid topology: {violation}")
-    return Topology(doc.carrier, doc.chain, doc.family)
+    return Topology(doc.family)
 
 
 def _subbase_only(args) -> bool:
@@ -141,8 +141,8 @@ def product(args) -> dict:
     factors = [_topology_from(doc, "product") for doc in docs]
     space = product(factors, max_opens=args.max_opens or DEFAULT_MAX_OPENS)
     if subbase_only:
-        return _space_report(space, "subbase", space.subbase, None, {})
-    return _space_report(space, "opens", space.topology().opens, None, {})
+        return _space_report("subbase", space.subbase, None, {})
+    return _space_report("opens", space.topology().opens, None, {})
 
 
 def metric(args) -> dict:
@@ -153,9 +153,9 @@ def metric(args) -> dict:
     metric = doc.metric
     if subbase_only:
         balls = metric_ball_family(metric, doc.centers, doc.radii)
-        return _space_report(metric, "subbase", balls, doc.name, {})
+        return _space_report("subbase", balls, doc.name, {})
     topology = metric_induced(metric, doc.centers, doc.radii, max_size=args.max_opens or DEFAULT_MAX_OPENS)
-    return _space_report(metric, "opens", topology.opens, doc.name, {})
+    return _space_report("opens", topology.opens, doc.name, {})
 
 
 def continuity(args) -> dict:

@@ -17,8 +17,10 @@ unpacks them.
 The value classes are `Record`s: plain `__slots__` classes whose positional
 constructor, equality, hash, repr and immutability are written once, in
 `Record`, so that no class is generated at import; importing costs a command
-more than most of its computation does.  The classes built in hot loops spell
-out their own `__init__`, `__eq__` and `__hash__`.
+more than most of its computation does.  Every `Record` takes its fields by
+position and nothing else: no keyword and no default.  The classes built in hot
+loops (`Chain`, `Carrier`, `FuzzySet`, `FuzzyFamily`) spell out their own
+`__init__`, `__eq__` and `__hash__`.
 """
 
 from __future__ import annotations
@@ -143,10 +145,13 @@ class Chain(Record):
 
     def scaled(self, k: int, a: int) -> int:
         """k-fold truncated sum of a with itself; k <= 0 gives 0."""
+        n = self.n
+        if not 0 <= a <= n:
+            raise self._out_of_range(a, 0)
         if k <= 0:
             return 0
         s = k * a
-        return self.n if s > self.n else s
+        return n if s > n else s
 
 
 class Carrier(Record):
@@ -404,16 +409,8 @@ class PointMap(Record):
         )
 
     @property
-    def is_injective(self) -> bool:
-        return len(set(self.images)) == len(self.images)
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.codomain.size
-
-    @property
     def is_bijective(self) -> bool:
-        return self.is_injective and self.is_surjective
+        return len(set(self.images)) == len(self.images) == self.codomain.size
 
     def inverse(self) -> "PointMap":
         if not self.is_bijective:
@@ -437,7 +434,7 @@ class FuzzyFamily(Record):
 
     __slots__ = ("carrier", "chain", "lanes", "packed", "present", "_members")
 
-    def __init__(self, carrier: Carrier, chain: Chain, members: Iterable[FuzzySet] = ()):
+    def __init__(self, carrier: Carrier, chain: Chain, members: Iterable[FuzzySet]):
         lanes = _lanes(carrier.size, chain.n)
         by_packed = {}
         for m in members:

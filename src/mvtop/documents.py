@@ -219,6 +219,6 @@ def _space_document(path: str) -> SpaceDocument:
     return parse_space_document(_load(path))
 
 
-def _space_report(space, kind: str, family, name: str | None, caps: dict[str, int]) -> dict:
-    """The family as a space document of the kind, on the chain and carrier of the space."""
-    return space_document_to_obj(SpaceDocument(space.chain, space.carrier, kind, family, name, caps))
+def _space_report(kind: str, family: FuzzyFamily, name: str | None, caps: dict[str, int]) -> dict:
+    """The family as a space document of the kind, on the family's chain and carrier."""
+    return space_document_to_obj(SpaceDocument(family.chain, family.carrier, kind, family, name, caps))

@@ -61,12 +61,7 @@ class ProductSpace:
         return self._topology
 
     def index_of(self, coordinate: tuple[int, ...]) -> int:
-        stride = 1
-        index = 0
-        for i in range(len(self.factors) - 1, -1, -1):
-            index += coordinate[i] * stride
-            stride *= self.factors[i].carrier.size
-        return index
+        return self.coordinates.index(coordinate)
 
 
 def product(factors: Sequence[Topology], *, max_opens: int = DEFAULT_MAX_OPENS) -> ProductSpace:

@@ -7,7 +7,7 @@ criterion on term witnesses, the oracle it is checked against and the tests do.
 
 from __future__ import annotations
 
-from .core import FuzzyFamily, FuzzySet, Record, _set
+from .core import FuzzyFamily, FuzzySet, Record
 from .errors import InputError, PreconditionError
 from .maps import is_ideal
 
@@ -24,13 +24,8 @@ class Term(Record):
 
     __slots__ = ("op", "index", "left", "right")
 
-    def __init__(
-        self,
-        op: str,
-        index: int | None = None,
-        left: "Term | None" = None,
-        right: "Term | None" = None,
-    ):
+    def __post_init__(self):
+        op, index, left, right = self.op, self.index, self.left, self.right
         if op == VAR:
             if index is None or index < 0 or left or right:
                 raise InputError("a variable leaf needs a nonnegative index and no children")
@@ -39,26 +34,22 @@ class Term(Record):
                 raise InputError(f"a {op} node needs exactly two children")
         else:
             raise InputError(f"unknown term operation {op!r}")
-        _set(self, "op", op)
-        _set(self, "index", index)
-        _set(self, "left", left)
-        _set(self, "right", right)
 
     @classmethod
     def var(cls, index: int) -> "Term":
-        return cls(VAR, index=index)
+        return cls(VAR, index, None, None)
 
     @classmethod
     def oplus(cls, left: "Term", right: "Term") -> "Term":
-        return cls(OPLUS, left=left, right=right)
+        return cls(OPLUS, None, left, right)
 
     @classmethod
     def odot(cls, left: "Term", right: "Term") -> "Term":
-        return cls(ODOT, left=left, right=right)
+        return cls(ODOT, None, left, right)
 
     @classmethod
     def meet(cls, left: "Term", right: "Term") -> "Term":
-        return cls(MEET, left=left, right=right)
+        return cls(MEET, None, left, right)
 
     @property
     def length(self) -> int:

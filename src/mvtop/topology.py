@@ -14,37 +14,39 @@ they were built, so those results are valid by construction, unchecked.
 
 from __future__ import annotations
 
-from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record, _set
-from .errors import InputError, ResourceLimitError
+from .core import Carrier, Chain, FuzzyFamily, FuzzySet, Record
+from .errors import ResourceLimitError
 
 DEFAULT_MAX_OPENS = 20_000
 
 
 class Topology(Record):
-    """A carrier together with the explicit family of its open fuzzy sets."""
+    """The explicit family of open fuzzy sets, which holds the carrier and chain;
+    equality and the hash are spelled out, as the suites' memo compares them."""
 
-    __slots__ = ("carrier", "chain", "opens")
+    __slots__ = ("opens",)
 
-    def __init__(self, carrier: Carrier, chain: Chain, opens: FuzzyFamily):
-        if opens.carrier != carrier or opens.chain != chain:
-            raise InputError("opens must live on the topology's carrier and chain")
-        _set(self, "carrier", carrier)
-        _set(self, "chain", chain)
-        _set(self, "opens", opens)
+    @property
+    def carrier(self) -> Carrier:
+        return self.opens.carrier
+
+    @property
+    def chain(self) -> Chain:
+        return self.opens.chain
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.carrier, self.chain, self.opens) == (other.carrier, other.chain, other.opens)
+        return self.opens == other.opens
 
     def __hash__(self):
-        return hash((self.carrier, self.chain, self.opens))
+        return hash((self.opens,))
 
 
 def indiscrete(carrier: Carrier, chain: Chain) -> Topology:
     zero = FuzzySet.zero(carrier, chain)
     one = FuzzySet.one(carrier, chain)
-    return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, (zero, one)))
+    return Topology(FuzzyFamily.of(carrier, chain, (zero, one)))
 
 
 def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
@@ -54,7 +56,7 @@ def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
     for mask in range(1 << carrier.size):
         values = tuple(n if mask >> i & 1 else 0 for i in range(carrier.size))
         members.append(FuzzySet._trusted(carrier, chain, values))
-    return Topology(carrier, chain, FuzzyFamily.of(carrier, chain, members))
+    return Topology(FuzzyFamily.of(carrier, chain, members))
 
 
 def _extend(queue: list[int], seen: set[int], new: Iterable[int], cap: int, what: str) -> None:
@@ -96,7 +98,6 @@ def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_O
     its turn, and only a member that is not yet open is joined with every open
     so far (Birkhoff: the join-irreducible ones generate the lattice).
     """
-    carrier, chain = subbase.carrier, subbase.chain
     base = base_from_subbase(subbase, max_size=max_size)
     lanes = base.lanes
     opens: list[int] = []
@@ -106,7 +107,7 @@ def generate_from_subbase(subbase: FuzzyFamily, *, max_size: int = DEFAULT_MAX_O
         if b not in seen:
             # a list, not a generator: the joins are taken with the opens so far
             _extend(opens, seen, [lanes.join(t, b) for t in opens], max_size, "topology")
-    return Topology(carrier, chain, FuzzyFamily._from_packed(carrier, chain, lanes, opens))
+    return Topology(FuzzyFamily._from_packed(subbase.carrier, subbase.chain, lanes, opens))
 
 
 def topology_violation(family: FuzzyFamily) -> str | None:

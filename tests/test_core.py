@@ -60,6 +60,10 @@ def test_chain_rejects_out_of_range():
         CH4.mul(1, -1)
     with pytest.raises(InputError):
         CH4.neg(7)
+    with pytest.raises(InputError):
+        CH4.scaled(1, -3)
+    with pytest.raises(InputError):
+        CH4.scaled(2, 7)
 
 
 @given(st.integers(1, 8), st.data())
@@ -129,7 +133,7 @@ def test_scalar_multiples_stabilize_at_crisp_support():
 
 
 def test_empty_join_and_meet():
-    family = FuzzyFamily(AB, CH2)
+    family = FuzzyFamily(AB, CH2, ())
     assert family.join() == FuzzySet.zero(AB, CH2)
     assert family.meet() == FuzzySet.one(AB, CH2)
 

@@ -403,9 +403,9 @@ def test_eval_rejects_arity_mismatch():
 
 def test_term_structure_validation():
     with pytest.raises(InputError):
-        Term("oplus", left=Term.var(0))
+        Term("oplus", None, Term.var(0), None)
     with pytest.raises(InputError):
-        Term("var")
+        Term("var", None, None, None)
     assert Term.oplus(Term.var(0), Term.var(1)).length == 3
     assert Term.oplus(Term.var(0), Term.var(3)).arity == 4
 

@@ -249,7 +249,7 @@ def test_base_witness_matches_reference_scan():
 
 
 def test_base_witness_reports_a_candidate_that_is_not_open():
-    topology = generate_from_subbase(FuzzyFamily(Carrier(("a", "b")), Chain(2)))
+    topology = generate_from_subbase(FuzzyFamily(Carrier(("a", "b")), Chain(2), ()))
     stray = FuzzySet(topology.carrier, topology.chain, (1, 0))
     candidate = FuzzyFamily.of(topology.carrier, topology.chain, topology.opens.members + (stray,))
     assert base_witness(candidate, topology) == stray

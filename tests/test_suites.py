@@ -155,7 +155,7 @@ FORCED_FAILURES = [
     ),
     (
         "generation", oracles, "naive_generate_opens",
-        lambda subbase: FuzzyFamily(subbase.carrier, subbase.chain),
+        lambda subbase: FuzzyFamily(subbase.carrier, subbase.chain, ()),
         (6, 0, "fixpoint generation disagrees with the naive closure on n=1, points=('a', 'b'), subbase=[]"),
     ),
     (
@@ -179,11 +179,13 @@ FORCED_FAILURES = [
         (3, 1, "base closure is not monotone at n=2, subbase=[(0, 2)]"),
     ),
     (
-        "generation", suite_generation, "closed_sets", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
+        "generation", suite_generation, "closed_sets",
+        lambda topology: FuzzyFamily(topology.carrier, topology.chain, ()),
         (6, 0, "closed sets are not closed under the dual operations at n=1, subbase=[]"),
     ),
     (
-        "generation", suite_generation, "clopens", lambda topology: FuzzyFamily(topology.carrier, topology.chain),
+        "generation", suite_generation, "clopens",
+        lambda topology: FuzzyFamily(topology.carrier, topology.chain, ()),
         (6, 0, "clopens do not form a topology at n=1, subbase=[]"),
     ),
     (
@@ -467,6 +469,17 @@ PRODUCT_LAYER_MUTANTS = [
             "domain opens=[(0, 0, 0), (1, 1, 1)], codomain subbase=[(1, 0)]",
         ),
     ),
+    # the product subbase skips each factor's second-to-last open
+    (
+        product_module.ProductSpace, "__init__",
+        "for alpha in f.opens", "for alpha in f.opens.members[:-2] + f.opens.members[-1:]",
+        ("hausdorff-product", 5, 30),
+        (
+            12, 18, 2,
+            "product of separated factors is not separated at factor 0: opens=[(0,), (1,)]; "
+            "factor 1: opens=[(0, 0), (0, 1), (1, 0), (1, 1)] (n=1)",
+        ),
+    ),
 ]
 
 
@@ -516,7 +529,7 @@ def test_a_stone_sampler_accepting_hausdorff_spaces_is_an_equivalent_mutant(monk
         for mask in range(1 << len(sets)):
             family = FuzzyFamily(carrier, chain, [x for i, x in enumerate(sets) if mask >> i & 1])
             if is_topology(family):
-                space = topology.Topology(carrier, chain, family)
+                space = topology.Topology(family)
                 verdicts.append((is_hausdorff(space), is_stone(space)))
     assert len(verdicts) == 23 and verdicts.count((True, True)) == 8
     assert all(hausdorff == stone for hausdorff, stone in verdicts)

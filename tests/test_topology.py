@@ -52,7 +52,7 @@ def family(carrier, chain, *vectors):
 
 
 def test_base_of_empty_subbase_is_empty():
-    assert len(base_from_subbase(FuzzyFamily(X, CH2))) == 0
+    assert len(base_from_subbase(FuzzyFamily(X, CH2, ()))) == 0
 
 
 def test_base_of_singleton_half():
@@ -66,7 +66,7 @@ def test_base_of_closed_family_is_itself():
 
 
 def test_generate_empty_subbase_gives_indiscrete():
-    assert generate_from_subbase(FuzzyFamily(AB, CH2)) == indiscrete(AB, CH2)
+    assert generate_from_subbase(FuzzyFamily(AB, CH2, ())) == indiscrete(AB, CH2)
 
 
 def test_generate_singleton_half():
