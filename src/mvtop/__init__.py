@@ -2,8 +2,8 @@
 
 The package exports its names lazily (PEP 562): a name's module is imported on
 first access, so a command loads only the modules it runs, and nothing is bound
-at import.  `mvtop.product` is the submodule; its `product` function builds a
-product, as `ProductSpace` does.
+at import.  `mvtop.product` is the submodule; its `product` function is the one
+builder of a `ProductSpace`.
 """
 
 import importlib

@@ -14,7 +14,7 @@ def _max_nodes(args) -> int:
 def mincover(args) -> dict:
     doc = parse_family_document(_load(args.input))
     certificate = minimal_additive_cover_search(doc.family, max_nodes=_max_nodes(args)).certificate
-    report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
+    report: dict = {"chain": doc.family.chain.n, "points": list(doc.family.carrier.points)}
     report["feasible"] = certificate is not None
     if certificate is not None:
         report["entries"] = [
@@ -28,7 +28,7 @@ def mincover(args) -> dict:
 def subcover(args) -> dict:
     doc = parse_family_document(_load(args.input))
     subcover = minimal_subcover_search(doc.family, max_nodes=_max_nodes(args)).subcover
-    report: dict = {"chain": doc.chain.n, "points": list(doc.carrier.points)}
+    report: dict = {"chain": doc.family.chain.n, "points": list(doc.family.carrier.points)}
     report["feasible"] = subcover is not None
     if subcover is not None:
         report["family"] = [list(m.values) for m in subcover.members]

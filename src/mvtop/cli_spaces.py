@@ -11,6 +11,7 @@ from .topology import (
     base_witness,
     check_hausdorff,
     clopens,
+    generate_from_subbase,
     is_compact,
     is_strongly_compact,
     is_zero_dimensional,
@@ -139,10 +140,11 @@ def product(args) -> dict:
     subbase_only = _subbase_only(args)
     docs = [_space_document(path) for path in args.inputs]
     factors = [_topology_from(doc, "product") for doc in docs]
-    space = product(factors, max_opens=args.max_opens or DEFAULT_MAX_OPENS)
+    subbase = product(factors).subbase
     if subbase_only:
-        return _space_report("subbase", space.subbase, None, {})
-    return _space_report("opens", space.topology().opens, None, {})
+        return _space_report("subbase", subbase, None, {})
+    topology = generate_from_subbase(subbase, max_size=args.max_opens or DEFAULT_MAX_OPENS)
+    return _space_report("opens", topology.opens, None, {})
 
 
 def metric(args) -> dict:

@@ -88,11 +88,9 @@ def _parse_caps(raw: object) -> dict[str, int]:
 
 
 class SpaceDocument(Record):
-    """A chain, points and one family of value vectors, named by its kind."""
+    """One family of value vectors, which holds the chain and points, named by its kind."""
 
-    __slots__ = ("chain", "carrier", "kind", "family", "name", "caps")
-    chain: Chain
-    carrier: Carrier
+    __slots__ = ("kind", "family", "name", "caps")
     kind: str  # "subbase", "opens" or "family"
     family: FuzzyFamily
     name: str | None
@@ -109,13 +107,13 @@ def parse_space_document(obj: object) -> SpaceDocument:
     family = _parse_vectors(obj[kind], carrier, chain, kind)
     name = _parse_name(obj)
     caps = _parse_caps(obj["caps"]) if "caps" in obj else {}
-    return SpaceDocument(chain, carrier, kind, family, name, caps)
+    return SpaceDocument(kind, family, name, caps)
 
 
 def space_document_to_obj(doc: SpaceDocument) -> dict:
     out = _named(doc)
-    out["chain"] = doc.chain.n
-    out["points"] = list(doc.carrier.points)
+    out["chain"] = doc.family.chain.n
+    out["points"] = list(doc.family.carrier.points)
     out[doc.kind] = [list(m.values) for m in doc.family.members]
     if doc.caps:
         out["caps"] = {k: doc.caps[k] for k in sorted(doc.caps)}
@@ -126,7 +124,7 @@ def parse_family_document(obj: object) -> SpaceDocument:
     _require_keys(obj, {"chain", "points", "family"}, {"name"}, "family document")
     chain, carrier = _parse_header(obj, "family document")
     family = _parse_vectors(obj["family"], carrier, chain, "family")
-    return SpaceDocument(chain, carrier, "family", family, _parse_name(obj), {})
+    return SpaceDocument("family", family, _parse_name(obj), {})
 
 
 class MapDocument(Record):
@@ -155,7 +153,7 @@ def parse_map_document(obj: object, *, base_dir: Path | None = None) -> MapDocum
     images = obj["map"]
     if not isinstance(images, list):
         raise InputError("map must be a list of codomain indices")
-    point_map = PointMap(domain.carrier, codomain.carrier, tuple(images))
+    point_map = PointMap(domain.family.carrier, codomain.family.carrier, tuple(images))
     return MapDocument(point_map, domain, codomain, _parse_name(obj))
 
 
@@ -220,5 +218,5 @@ def _space_document(path: str) -> SpaceDocument:
 
 
 def _space_report(kind: str, family: FuzzyFamily, name: str | None, caps: dict[str, int]) -> dict:
-    """The family as a space document of the kind, on the family's chain and carrier."""
-    return space_document_to_obj(SpaceDocument(family.chain, family.carrier, kind, family, name, caps))
+    """The family as a space document of the kind."""
+    return space_document_to_obj(SpaceDocument(kind, family, name, caps))

@@ -1,71 +1,73 @@
 """Finite products of MV-topological spaces.
 
-The product carrier is the set of label tuples in lexicographic order of the
-factor indices; the canonical subbase consists of all preimages of factor
-opens along the projections.  The full product topology is materialized
-lazily because the opens count grows multiplicatively.
+`product` builds a `ProductSpace`: the label tuples in lexicographic order of
+the factor indices, the projections and the canonical subbase of all preimages
+of factor opens along them, refused before its first point if too large.  A
+caller generates the topology, whose opens count grows multiplicatively.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from .core import Carrier, FuzzyFamily, PointMap, Record, mv_preimage
-from .errors import InputError, PreconditionError
-from .topology import DEFAULT_MAX_OPENS, Topology, generate_from_subbase
+from .core import Carrier, Chain, FuzzyFamily, PointMap, Record, mv_preimage
+from .errors import InputError, PreconditionError, ResourceLimitError
+from .topology import Topology
+
+# the most values, points times members, that a product subbase may hold
+MAX_PRODUCT_VALUES = 2**20
 
 
-class ProductSpace:
-    """Carrier product, projections, canonical subbase, and the lazy topology."""
+class ProductSpace(Record):
+    """A product's factors, carrier, point coordinates, projections and canonical subbase."""
 
-    def __init__(self, factors: Sequence[Topology], *, max_opens: int = DEFAULT_MAX_OPENS):
-        factors = tuple(factors)
-        if not factors:
-            raise InputError("a product needs at least one factor")
-        chain = factors[0].chain
-        if any(f.chain != chain for f in factors):
-            raise InputError("all product factors must share one chain")
-        self.factors = factors
-        self.chain = chain
-        self.max_opens = max_opens
+    __slots__ = ("factors", "carrier", "coordinates", "projections", "subbase")
+    factors: tuple[Topology, ...]
+    carrier: Carrier
+    coordinates: tuple[tuple[int, ...], ...]
+    projections: tuple[PointMap, ...]
+    subbase: FuzzyFamily
 
-        coords = list(itertools.product(*(range(f.carrier.size) for f in factors)))
-        points: dict[str, tuple[str, ...]] = {}  # each point's label: its factor labels
-        for c in coords:
-            t = tuple(f.carrier.label(i) for f, i in zip(factors, c))
-            label = "(" + ",".join(t) + ")"
-            if label in points:  # factor labels with commas can collide
-                raise InputError(f"product points {points[label]} and {t} are both labelled {label!r}")
-            points[label] = t
-        self.carrier = Carrier(tuple(points))
-        self.coordinates = tuple(coords)
-        self.projections = tuple(
-            PointMap(self.carrier, f.carrier, tuple(c[i] for c in coords))
-            for i, f in enumerate(factors)
-        )
-        self.subbase = FuzzyFamily.of(
-            self.carrier,
-            chain,
-            (
-                mv_preimage(self.projections[i], alpha)
-                for i, f in enumerate(factors)
-                for alpha in f.opens
-            ),
-        )
-        self._topology: Topology | None = None
-
-    def topology(self) -> Topology:
-        """Generate the product topology on first use; later calls return the same object."""
-        if self._topology is None:
-            self._topology = generate_from_subbase(self.subbase, max_size=self.max_opens)
-        return self._topology
+    @property
+    def chain(self) -> Chain:
+        return self.subbase.chain
 
     def index_of(self, coordinate: tuple[int, ...]) -> int:
         return self.coordinates.index(coordinate)
 
 
-def product(factors: Sequence[Topology], *, max_opens: int = DEFAULT_MAX_OPENS) -> ProductSpace:
-    return ProductSpace(factors, max_opens=max_opens)
+def product(factors: Sequence[Topology]) -> ProductSpace:
+    """The product of the factors, which share one chain."""
+    factors = tuple(factors)
+    if not factors:
+        raise InputError("a product needs at least one factor")
+    chain = factors[0].chain
+    if any(f.chain != chain for f in factors):
+        raise InputError("all product factors must share one chain")
+    values = math.prod(f.carrier.size for f in factors) * sum(len(f.opens) for f in factors)
+    if values > MAX_PRODUCT_VALUES:
+        cap = MAX_PRODUCT_VALUES
+        raise ResourceLimitError("product subbase exceeds the size cap", limit=cap, reached=values)
+
+    coords = tuple(itertools.product(*(range(f.carrier.size) for f in factors)))
+    points: dict[str, tuple[str, ...]] = {}  # each point's label: its factor labels
+    for c in coords:
+        t = tuple(f.carrier.label(i) for f, i in zip(factors, c))
+        label = "(" + ",".join(t) + ")"
+        if label in points:  # factor labels with commas can collide
+            raise InputError(f"product points {points[label]} and {t} are both labelled {label!r}")
+        points[label] = t
+    carrier = Carrier(tuple(points))
+    projections = tuple(
+        PointMap(carrier, f.carrier, tuple(c[i] for c in coords)) for i, f in enumerate(factors)
+    )
+    subbase = FuzzyFamily.of(
+        carrier,
+        chain,
+        (mv_preimage(projections[i], alpha) for i, f in enumerate(factors) for alpha in f.opens),
+    )
+    return ProductSpace(factors, carrier, coords, projections, subbase)
 
 
 def tupling(maps: Sequence[PointMap], space: ProductSpace) -> PointMap:

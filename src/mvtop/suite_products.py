@@ -17,6 +17,7 @@ import random
 from .core import FuzzyFamily, mv_preimage
 from .errors import PreconditionError
 from .generators import (
+    once,
     random_compact_pair,
     random_hausdorff_topology,
     random_stone_topology,
@@ -26,7 +27,9 @@ from .generators import (
     random_zero_dimensional_topology,
 )
 from .suites import _vectors
-from .topology import Topology, check_hausdorff, is_hausdorff, is_stone, is_zero_dimensional
+from .topology import (
+    Topology, check_hausdorff, generate_from_subbase, is_hausdorff, is_stone, is_zero_dimensional
+)
 
 
 def _factors_where(factors: Sequence[Topology]) -> str:
@@ -92,7 +95,7 @@ def case_lemma1(rng: random.Random) -> str | None:
 def case_hausdorff_product(rng: random.Random) -> str | None:
     space = random_compact_pair(rng, random_hausdorff_topology)
     factors = space.factors
-    topology = space.topology()
+    topology = once(generate_from_subbase, space.subbase)
     if not is_hausdorff(topology):
         return f"product of separated factors is not separated at {_factors_where(factors)}"
 
@@ -123,7 +126,7 @@ def _product_preserves(
 ) -> str | None:
     """Draw two factors with the property and check it on their product."""
     space = random_compact_pair(rng, draw)
-    if not holds(space.topology()):
+    if not holds(once(generate_from_subbase, space.subbase)):
         return f"product of {what} factors is not {what} at {_factors_where(space.factors)}"
     return None
 

@@ -27,10 +27,11 @@ class Term(Record):
     def __post_init__(self):
         op, index, left, right = self.op, self.index, self.left, self.right
         if op == VAR:
-            if index is None or index < 0 or left or right:
+            bad_index = not isinstance(index, int) or isinstance(index, bool) or index < 0
+            if bad_index or left is not None or right is not None:
                 raise InputError("a variable leaf needs a nonnegative index and no children")
         elif op in _BINARY:
-            if left is None or right is None or index is not None:
+            if not isinstance(left, Term) or not isinstance(right, Term) or index is not None:
                 raise InputError(f"a {op} node needs exactly two children")
         else:
             raise InputError(f"unknown term operation {op!r}")

@@ -288,6 +288,21 @@ def test_product_cap_error_reports_one_past_the_cap(tmp_path):
     assert err == "error: base closure exceeded the size cap (cap 1, reached 2)\n"
 
 
+def test_a_product_past_the_size_cap_is_refused_before_it_is_built(tmp_path):
+    # 2**20 points times 80 subbase members; under a 512 MB address space an
+    # attempt to build them would end in a MemoryError, not in the cap's exit 3
+    import resource
+
+    (tmp_path / "space.json").write_text(doc(DISCRETE))
+    limit = 512 * 2**20
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    result = run_process(["product", "--subbase-only", *["space.json"] * 20], tmp_path, preexec_fn=bounded)
+    assert result == (3, "", "error: product subbase exceeds the size cap (cap 1048576, reached 83886080)\n")
+
+
 def test_colliding_product_labels_name_both_points(tmp_path):
     # both factors are valid; only the comma-joined labels of two product points coincide
     left = {"chain": 1, "points": ["a", "a,b"], "opens": [[0, 0], [1, 1]]}

@@ -406,6 +406,15 @@ def test_term_structure_validation():
         Term("oplus", None, Term.var(0), None)
     with pytest.raises(InputError):
         Term("var", None, None, None)
+    # an index that is a bool or not an int, and a child that is not a term
+    for op, index, left, right in (
+        ("var", True, None, None),
+        ("var", 1.5, None, None),
+        ("var", 0, 0, None),
+        ("oplus", None, 5, Term.var(0)),
+    ):
+        with pytest.raises(InputError):
+            Term(op, index, left, right)
     assert Term.oplus(Term.var(0), Term.var(1)).length == 3
     assert Term.oplus(Term.var(0), Term.var(3)).arity == 4
 

@@ -34,7 +34,7 @@ def test_space_document_roundtrip():
         "caps": {"max_opens": 100},
     }
     doc = parse_space_document(obj)
-    assert doc.chain.n == 2
+    assert doc.family.chain.n == 2
     assert doc.kind == "subbase"
     assert doc.caps == {"max_opens": 100}
     assert parse_space_document(space_document_to_obj(doc)) == doc

@@ -10,6 +10,7 @@ from mvtop import (
     InputError,
     PointMap,
     PreconditionError,
+    ResourceLimitError,
     crisp_discrete,
     generate_from_subbase,
     indiscrete,
@@ -22,6 +23,7 @@ from mvtop import (
     verify_universal_property,
 )
 from mvtop.generators import case_rng, random_hausdorff_topology
+import mvtop.product as product_module
 from mvtop.product import product
 
 CH1 = Chain(1)
@@ -38,7 +40,7 @@ def test_single_factor_product_matches_the_factor():
     factor = generate_from_subbase(family(AB, CH2, (1, 2)))
     space = product([factor])
     assert space.carrier.points == ("(a)", "(b)")
-    assert [o.values for o in space.topology().opens] == [
+    assert [o.values for o in generate_from_subbase(space.subbase).opens] == [
         o.values for o in factor.opens
     ]
     assert space.projections[0].images == (0, 1)
@@ -48,14 +50,14 @@ def test_product_of_singletons():
     factor = generate_from_subbase(family(X, CH2, (1,)))
     space = product([factor, factor])
     assert space.carrier.points == ("(x,x)",)
-    assert [o.values for o in space.topology().opens] == [(0,), (1,), (2,)]
+    assert [o.values for o in generate_from_subbase(space.subbase).opens] == [(0,), (1,), (2,)]
 
 
 def test_product_of_discrete_crisp_two_point_spaces():
     factor = crisp_discrete(AB, CH1)
     space = product([factor, factor])
     assert space.carrier.points == ("(a,a)", "(a,b)", "(b,a)", "(b,b)")
-    topology = space.topology()
+    topology = generate_from_subbase(space.subbase)
     assert len(topology.opens) == 16
     assert topology == crisp_discrete(space.carrier, CH1)
 
@@ -68,7 +70,7 @@ def test_three_factor_product():
     assert space.index_of((1, 0, 1)) == space.carrier.index("(b,x,b)")
     combined = tupling(list(space.projections), space)
     assert combined == PointMap.identity(space.carrier)
-    topology = space.topology()
+    topology = generate_from_subbase(space.subbase)
     for projection, factor in zip(space.projections, [pair, half, pair]):
         assert is_continuous(projection, topology, factor)
 
@@ -80,13 +82,25 @@ def test_product_requires_shared_chain():
         product([])
 
 
+def test_a_product_is_refused_when_its_subbase_would_pass_the_value_cap(monkeypatch):
+    # 4 points times 4 + 4 factor opens: 32 values, refused under a cap of 31 and
+    # built under 32, where the two factors' 0 and 1 leave 6 distinct members
+    factor = crisp_discrete(AB, CH1)
+    monkeypatch.setattr(product_module, "MAX_PRODUCT_VALUES", 31)
+    with pytest.raises(ResourceLimitError) as err:
+        product([factor, factor])
+    assert str(err.value) == "product subbase exceeds the size cap (cap 31, reached 32)"
+    monkeypatch.setattr(product_module, "MAX_PRODUCT_VALUES", 32)
+    assert len(product([factor, factor]).subbase) == 6
+
+
 def test_projections_are_continuous():
     factors = [
         generate_from_subbase(family(AB, CH2, (1, 2))),
         generate_from_subbase(family(AB, CH2, (2, 0), (0, 2))),
     ]
     space = product(factors)
-    topology = space.topology()
+    topology = generate_from_subbase(space.subbase)
     for projection, factor in zip(space.projections, factors):
         assert is_continuous(projection, topology, factor)
 
@@ -133,7 +147,7 @@ def test_universal_property_with_projections():
         indiscrete(AB, CH2),
     ]
     space = product(factors)
-    report = verify_universal_property(space, space.topology(), list(space.projections))
+    report = verify_universal_property(space, generate_from_subbase(space.subbase), list(space.projections))
     assert report.passed
     assert report.tupling_map == PointMap.identity(space.carrier)
 
@@ -184,18 +198,10 @@ def test_universal_property_on_random_continuous_instances():
         assert report.passed
 
 
-def test_lazy_materialization_is_cached():
-    factor = crisp_discrete(AB, CH1)
-    space = product([factor, factor])
-    first = space.topology()
-    assert space.topology() is first
-    assert len(first.opens) == 16
-
-
 def test_hausdorff_zero_dimensional_and_stone_preservation_spot_checks():
     h_factor = crisp_discrete(AB, CH1)
     space = product([h_factor, h_factor])
-    topology = space.topology()
+    topology = generate_from_subbase(space.subbase)
     assert is_hausdorff(topology)
     assert is_zero_dimensional(topology)
     assert is_stone(topology)

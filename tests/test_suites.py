@@ -405,7 +405,7 @@ def drop_last_clopen(space):
     return FuzzyFamily.of(space.carrier, space.chain, members)
 
 
-def every_other_generator(subbase, max_size):
+def every_other_generator(subbase, max_size=topology.DEFAULT_MAX_OPENS):
     """A defect in product generation: half the product subbase is dropped."""
     kept = FuzzyFamily(subbase.carrier, subbase.chain, subbase.members[::2])
     return generate_from_subbase(kept, max_size=max_size)
@@ -423,7 +423,7 @@ def every_other_generator(subbase, max_size):
             ),
         ),
         (
-            "hausdorff-product", product_module, "generate_from_subbase", every_other_generator,
+            "hausdorff-product", suite_products, "generate_from_subbase", every_other_generator,
             (
                 10, 20, 1,
                 "product of separated factors is not separated at factor 0: opens=[(0,), (2,)]; "
@@ -471,7 +471,7 @@ PRODUCT_LAYER_MUTANTS = [
     ),
     # the product subbase skips each factor's second-to-last open
     (
-        product_module.ProductSpace, "__init__",
+        product_module, "product",
         "for alpha in f.opens", "for alpha in f.opens.members[:-2] + f.opens.members[-1:]",
         ("hausdorff-product", 5, 30),
         (
