@@ -1,8 +1,9 @@
 """Topologies induced by finite metrics: the open balls of fuzzy points.
 
 Distances and radii are exact rationals, so this is the one module that needs
-`fractions`.  Balls are made one at a time, center-major, so a closure cap
-stops `metric_induced` as soon as the distinct balls exceed it.  The metric
+`fractions`.  Balls are made one at a time, center-major, and gathered in one
+place, `metric_ball_family`, so its cap stops both the ball family and
+`metric_induced` as soon as the distinct balls exceed it.  The metric
 document, whose rationals are written as integers or "p/q" strings, is read
 and written here: only the `metric` command uses it.
 """
@@ -129,17 +130,19 @@ def _balls(
             yield _ball(metric, c, r)
 
 
-def _family(metric: MetricInstance, vectors: Iterable[tuple[int, ...]]) -> FuzzyFamily:
-    carrier, chain = metric.carrier, metric.chain
-    return FuzzyFamily.of(carrier, chain, (FuzzySet._trusted(carrier, chain, v) for v in vectors))
-
-
 def metric_ball_family(
     metric: MetricInstance,
     centers: Sequence[FuzzyPoint] | None = None,
     radii: Sequence[Fraction] | None = None,
+    *,
+    max_size: int = DEFAULT_MAX_OPENS,
 ) -> FuzzyFamily:
-    return _family(metric, dict.fromkeys(_balls(metric, centers, radii)))
+    """The distinct open balls, center-major; the one that takes them past
+    max_size raises the base closure's cap error at once."""
+    balls: list[tuple[int, ...]] = []
+    _extend(balls, set(), _balls(metric, centers, radii), max_size, "base")
+    carrier, chain = metric.carrier, metric.chain
+    return FuzzyFamily.of(carrier, chain, (FuzzySet._trusted(carrier, chain, v) for v in balls))
 
 
 def metric_induced(
@@ -149,14 +152,9 @@ def metric_induced(
     *,
     max_size: int = DEFAULT_MAX_OPENS,
 ) -> Topology:
-    """The topology generated by the open balls of the metric.
-
-    The distinct balls are the closure's first members, so the one that takes
-    them past the cap raises the base closure's cap error at once.
-    """
-    balls: list[tuple[int, ...]] = []
-    _extend(balls, set(), _balls(metric, centers, radii), max_size, "base")
-    return generate_from_subbase(_family(metric, balls), max_size=max_size)
+    """The topology generated by the open balls of the metric, under one cap."""
+    balls = metric_ball_family(metric, centers, radii, max_size=max_size)
+    return generate_from_subbase(balls, max_size=max_size)
 
 
 # -- metric documents -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Finite products of MV-topological spaces.
 
-`product` builds a `ProductSpace`: the label tuples in lexicographic order of
-the factor indices, the projections and the canonical subbase of all preimages
-of factor opens along them, refused before its first point if too large.  A
-caller generates the topology, whose opens count grows multiplicatively.
+`product` builds a `ProductSpace`: its points, numbered in mixed radix over
+the factor sizes with factor 0 most significant, the projections and the
+canonical subbase of all preimages of factor opens along them, refused before
+its first point if too large.  A caller generates the topology, whose opens
+count grows multiplicatively.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ MAX_PRODUCT_VALUES = 2**20
 
 
 class ProductSpace(Record):
-    """A product's factors, carrier, point coordinates, projections and canonical subbase."""
+    """A product's factors, carrier, projections and canonical subbase."""
 
-    __slots__ = ("factors", "carrier", "coordinates", "projections", "subbase")
+    __slots__ = ("factors", "carrier", "projections", "subbase")
     factors: tuple[Topology, ...]
     carrier: Carrier
-    coordinates: tuple[tuple[int, ...], ...]
     projections: tuple[PointMap, ...]
     subbase: FuzzyFamily
 
@@ -34,7 +34,12 @@ class ProductSpace(Record):
         return self.subbase.chain
 
     def index_of(self, coordinate: tuple[int, ...]) -> int:
-        return self.coordinates.index(coordinate)
+        index = 0
+        for c, f in itertools.zip_longest(coordinate, self.factors):
+            if f is None or c not in range(f.carrier.size):
+                raise InputError(f"{coordinate!r} is not a point of the product")
+            index = index * f.carrier.size + c
+        return index
 
 
 def product(factors: Sequence[Topology]) -> ProductSpace:
@@ -59,15 +64,9 @@ def product(factors: Sequence[Topology]) -> ProductSpace:
             raise InputError(f"product points {points[label]} and {t} are both labelled {label!r}")
         points[label] = t
     carrier = Carrier(tuple(points))
-    projections = tuple(
-        PointMap(carrier, f.carrier, tuple(c[i] for c in coords)) for i, f in enumerate(factors)
-    )
-    subbase = FuzzyFamily.of(
-        carrier,
-        chain,
-        (mv_preimage(projections[i], alpha) for i, f in enumerate(factors) for alpha in f.opens),
-    )
-    return ProductSpace(factors, carrier, coords, projections, subbase)
+    projections = tuple(PointMap(carrier, f.carrier, c) for f, c in zip(factors, zip(*coords)))
+    lifted = (mv_preimage(p, alpha) for p, f in zip(projections, factors) for alpha in f.opens)
+    return ProductSpace(factors, carrier, projections, FuzzyFamily.of(carrier, chain, lifted))
 
 
 def tupling(maps: Sequence[PointMap], space: ProductSpace) -> PointMap:
@@ -81,9 +80,7 @@ def tupling(maps: Sequence[PointMap], space: ProductSpace) -> PointMap:
             raise InputError("all maps must share one domain")
         if f.codomain != factor.carrier:
             raise InputError(f"map {i} does not land in factor {i}'s carrier")
-    images = tuple(
-        space.index_of(tuple(f.images[y] for f in maps)) for y in range(source.size)
-    )
+    images = tuple(space.index_of(c) for c in zip(*(f.images for f in maps)))
     return PointMap(source, space.carrier, images)
 
 
@@ -118,22 +115,9 @@ def verify_universal_property(
     # pulling back is a homomorphism that preserves joins
     continuous = is_continuous_via_base(combined, source, space.subbase)
 
-    commutes = all(
-        combined.then(space.projections[i]) == maps[i] for i in range(len(maps))
-    )
+    commutes = all(combined.then(p) == f for p, f in zip(space.projections, maps))
 
-    unique = True
-    for y in range(source.carrier.size):
-        candidates = [
-            p
-            for p in range(space.carrier.size)
-            if all(
-                space.projections[i].images[p] == maps[i].images[y]
-                for i in range(len(maps))
-            )
-        ]
-        if candidates != [combined.images[y]]:
-            unique = False
-            break
+    # the projections are jointly injective, so a commuting map is the only one
+    unique = commutes and len(set(zip(*(p.images for p in space.projections)))) == space.carrier.size
 
     return UniversalPropertyReport(combined, continuous, commutes, unique)

@@ -103,10 +103,10 @@ def case_hausdorff_product(rng: random.Random) -> str | None:
     reports = [check_hausdorff(f) for f in factors]
     for p in range(space.carrier.size):
         for q in range(p + 1, space.carrier.size):
-            coords_p, coords_q = space.coordinates[p], space.coordinates[q]
-            j = next(i for i in range(len(factors)) if coords_p[i] != coords_q[i])
-            # points follow itertools.product order, so coords_p[j] < coords_q[j]
-            ox, oy = dict(reports[j].witnesses)[coords_p[j], coords_q[j]]
+            j = next(i for i, pr in enumerate(space.projections) if pr.images[p] != pr.images[q])
+            at = space.projections[j].images
+            # points follow itertools.product order, so at[p] < at[q]
+            ox, oy = dict(reports[j].witnesses)[at[p], at[q]]
             lifted_x = mv_preimage(space.projections[j], ox)
             lifted_y = mv_preimage(space.projections[j], oy)
             if lifted_x.values[p] != n or lifted_y.values[q] != n:

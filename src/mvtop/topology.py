@@ -51,9 +51,12 @@ def indiscrete(carrier: Carrier, chain: Chain) -> Topology:
 
 def crisp_discrete(carrier: Carrier, chain: Chain) -> Topology:
     """All crisp subsets, i.e. the classical discrete topology embedded at values {0, n}."""
+    size, cap = 1 << carrier.size, DEFAULT_MAX_OPENS
+    if size > cap:
+        raise ResourceLimitError("crisp discrete topology exceeds the size cap", limit=cap, reached=size)
     n = chain.n
     members = []
-    for mask in range(1 << carrier.size):
+    for mask in range(size):
         values = tuple(n if mask >> i & 1 else 0 for i in range(carrier.size))
         members.append(FuzzySet._trusted(carrier, chain, values))
     return Topology(FuzzyFamily.of(carrier, chain, members))

@@ -553,6 +553,23 @@ def test_metric_stops_at_the_cap_before_making_every_ball():
     assert seconds < 1
 
 
+def test_the_ball_family_stops_at_the_default_cap(tmp_path):
+    # 3 million default fuzzy points; under a 512 MB address space gathering
+    # every distinct ball would end in a MemoryError, not in the cap's exit 3
+    import resource
+
+    line = {"chain": 1_000_000, "points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
+    (tmp_path / "metric.json").write_text(doc(line))
+    limit = 512 * 2**20
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    error = "error: base closure exceeded the size cap (cap 20000, reached 20001)\n"
+    for argv in (["metric", "--subbase-only", "metric.json"], ["metric", "metric.json"]):
+        assert run_process(argv, tmp_path, preexec_fn=bounded) == (3, "", error)
+
+
 @pytest.mark.parametrize(
     "centers, radii, message",
     [

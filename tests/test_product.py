@@ -1,5 +1,7 @@
 """Product spaces: carrier, subbase, projections, tupling, universal property."""
 
+import itertools
+
 import pytest
 
 from mvtop import (
@@ -205,3 +207,48 @@ def test_hausdorff_zero_dimensional_and_stone_preservation_spot_checks():
     assert is_hausdorff(topology)
     assert is_zero_dimensional(topology)
     assert is_stone(topology)
+
+
+def test_index_of_refuses_a_tuple_that_is_not_a_point():
+    space = product([indiscrete(AB, CH1), indiscrete(X, CH1)])
+    assert [space.index_of((a, 0)) for a in (0, 1)] == [0, 1]
+    for coordinate in [(0,), (0, 0, 0), (2, 0), (0, 1), (-1, 0)]:
+        with pytest.raises(InputError, match="is not a point of the product"):
+            space.index_of(coordinate)
+
+
+# -- exhaustive gate: every pair of factors of at most 2 points, n <= 2 ---------
+
+
+def all_topologies(carrier, chain):
+    """Every topology on the carrier: the distinct closures of every subfamily of its vectors."""
+    vectors = list(itertools.product(range(chain.n + 1), repeat=carrier.size))
+    subbases = itertools.chain.from_iterable(
+        itertools.combinations(vectors, k) for k in range(len(vectors) + 1)
+    )
+    return list(dict.fromkeys(generate_from_subbase(family(carrier, chain, *s)) for s in subbases))
+
+
+def test_every_small_product_inverts_its_projections_and_keeps_the_factor_properties():
+    by_chain = {
+        chain: [t for carrier in (X, AB) for t in all_topologies(carrier, chain)] for chain in (CH1, CH2)
+    }
+    assert [len(by_chain[CH1]), len(by_chain[CH2])] == [1 + 4, 2 + 16]
+    pairs = [pair for tops in by_chain.values() for pair in itertools.product(tops, repeat=2)]
+    assert len(pairs) == 349
+    properties = {"hausdorff": is_hausdorff, "zerodim": is_zero_dimensional, "stone": is_stone}
+    held = dict.fromkeys(properties, 0)
+    for pair in pairs:
+        space = product(pair)
+        projections = space.projections
+        for p in range(space.carrier.size):
+            assert space.index_of(tuple(pr.images[p] for pr in projections)) == p
+        assert tupling(projections, space) == PointMap.identity(space.carrier)
+        topology = generate_from_subbase(space.subbase)
+        assert verify_universal_property(space, topology, projections).passed
+        for name, holds in properties.items():
+            if all(holds(f) for f in pair):
+                held[name] += 1
+                assert holds(topology), (name, pair)
+    # pairs whose factors both have the property, so no check above is vacuous
+    assert held == {"hausdorff": 40, "zerodim": 73, "stone": 40}

@@ -80,6 +80,18 @@ def test_generate_crisp_singletons_gives_discrete():
     assert len(topology.opens) == 4
 
 
+def test_crisp_discrete_is_refused_past_the_cap_before_a_member_is_built(monkeypatch):
+    assert len(crisp_discrete(Carrier(tuple("abcdefghijklmn")), CH1).opens) == 2**14
+
+    def built(*args):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(FuzzySet, "_trusted", built)
+    with pytest.raises(ResourceLimitError) as err:
+        crisp_discrete(Carrier(tuple("abcdefghijklmno")), CH1)
+    assert str(err.value) == "crisp discrete topology exceeds the size cap (cap 20000, reached 32768)"
+
+
 def test_generation_caps_are_enforced():
     with pytest.raises(ResourceLimitError):
         generate_from_subbase(family(X, CH2, (1,)), max_size=2)

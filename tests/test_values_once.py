@@ -63,7 +63,7 @@ def unchecked_results(rng):
     space = MetricInstance(carrier, chain, dist)
     center = FuzzyPoint(rng.randrange(carrier.size), rng.randint(1, chain.n))
     yield metric.open_ball(space, center, Fraction(rng.randint(1, 8), 2))
-    yield from metric.metric_ball_family(space)  # the balls of `metric._family`
+    yield from metric.metric_ball_family(space)
 
 
 def lane_families(rng):
