@@ -298,6 +298,63 @@ def test_search_results_nodes_and_cap_errors_are_pinned():
     assert digest.hexdigest() == "a122e38d86d1fc4eb6ae0273101c6ee99847e691efb54c2a595e1dab834502dd"
 
 
+CAP_BOUNDARY_NODES = 500
+
+
+def _cap_searches():
+    """Each search with the message of its cap error, looked up by name when called,
+    so that a planted mutant replaces it here too."""
+    return (
+        (minimal_additive_cover_search, "additive-cover search exceeded the node cap"),
+        (minimal_subcover_search, "subcover search exceeded the node cap"),
+    )
+
+
+def _cap_boundary_cases():
+    """20 seeded families of 3-6 points, n 2-4 and up to 40 members, each with both
+    searches' uncapped results, where each search needs at most CAP_BOUNDARY_NODES nodes."""
+    rng = random.Random(5)
+    cases = []
+    while len(cases) < 20:
+        k, n = rng.randint(3, 6), rng.randint(2, 4)
+        carrier, chain = Carrier(tuple(f"p{i}" for i in range(k))), Chain(n)
+        vectors = {
+            tuple(0 if rng.random() < 0.4 else rng.randint(1, n) for _ in range(k))
+            for _ in range(rng.randint(6, 40))
+        }
+        fam = FuzzyFamily.of(carrier, chain, (FuzzySet(carrier, chain, v) for v in vectors))
+        try:
+            results = [search(fam, max_nodes=CAP_BOUNDARY_NODES) for search, _ in _cap_searches()]
+        except ResourceLimitError:
+            continue
+        cases.append((fam, results))
+    return cases
+
+
+# each case's node counts (additive cover, subcover), as the node-by-node
+# recursions count them
+CAP_BOUNDARY_COUNTS = [
+    (121, 225), (79, 95), (61, 35), (76, 135), (129, 63), (197, 71), (253, 25),
+    (16, 0), (49, 31), (301, 41), (79, 165), (216, 229), (71, 33), (85, 57),
+    (181, 73), (46, 29), (106, 0), (91, 163), (113, 231), (269, 0),
+]
+
+
+def test_every_cap_below_the_node_count_stops_the_search_at_the_cap():
+    # each cap c short of a search's node count N stops it at node c + 1, and the
+    # cap N lets it finish with the uncapped answer: a search that counts a node
+    # too many or too few, alone or among pruned siblings, fails here
+    cases = _cap_boundary_cases()
+    assert [tuple(r.nodes for r in results) for _, results in cases] == CAP_BOUNDARY_COUNTS
+    for fam, results in cases:
+        for (search, message), result in zip(_cap_searches(), results):
+            for cap in range(1, result.nodes):
+                with pytest.raises(ResourceLimitError) as err:
+                    search(fam, max_nodes=cap)
+                assert str(err.value) == f"{message} (cap {cap}, reached {cap + 1})"
+            assert search(fam, max_nodes=result.nodes) == result
+
+
 def test_minimal_total_never_exceeds_greedy_total():
     rng = random.Random(47)
     for _ in range(100):
