@@ -283,7 +283,7 @@ class FuzzySet(Record):
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.values)
 
     @property
     def is_one(self) -> bool:
@@ -353,11 +353,14 @@ class Lanes:
         """True iff a <= b in every lane."""
         return ((b | self.guard) - a) & self.guard == self.guard
 
+    def top_guards(self, x: int) -> int:
+        """The guard bits of the lanes where x holds n."""
+        return ((x | self.guard) - self.top) & self.guard
+
     def at_top(self, x: int) -> list[int]:
-        """The lanes where x holds n: those keeping their guard bit in (x | guard) - top."""
-        g = ((x | self.guard) - self.top) & self.guard
-        last = self.width * (self.size - 1) + self.shift  # lane 0's guard bit
-        return [i for i in range(self.size) if g >> last - self.width * i & 1]
+        """The lanes where x holds n."""
+        g, w = self.top_guards(x), self.width
+        return [i for i, s in enumerate(range(w * self.size - 1, 0, -w)) if g >> s & 1]
 
     def join_below(self, members: Iterable[int], x: int) -> int:
         """The join of the members below x; 0 when none is."""

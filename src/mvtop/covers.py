@@ -11,11 +11,19 @@ and `is_cover` (and the private `_first_uncovered`).
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
+
 from .core import FuzzyFamily, FuzzySet, Record, _set, mv_preimage
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .topology import _first_uncovered, has_additive_subcover, is_cover
 
 DEFAULT_MAX_NODES = 1_000_000
+
+
+def _suffixes(fold, items, empty):
+    """The fold of each suffix items[i:], the empty one's last."""
+    return [*accumulate(reversed(items), fold, initial=empty)][::-1]
 
 
 class CoverCertificate(Record):
@@ -54,11 +62,8 @@ class CoverCertificate(Record):
     def combined(self) -> FuzzySet:
         """Truncated sum of all entries with their multiplicities."""
         n = self.chain.n
-        acc = [0] * self.carrier.size
-        for member, mult in self.entries:
-            for i, v in enumerate(member.values):
-                acc[i] += mult * v
-        return FuzzySet._trusted(self.carrier, self.chain, tuple(min(n, a) for a in acc))
+        sums = map(sum, zip(*[[mult * v for v in m.values] for m, mult in self.entries]))
+        return FuzzySet._trusted(self.carrier, self.chain, tuple(min(n, a) for a in sums))
 
 
 def is_additive_cover(certificate: CoverCertificate) -> bool:
@@ -89,12 +94,10 @@ def find_additive_subcover(family: FuzzyFamily) -> CoverCertificate | None:
         mults[best] = needed
 
     for member in sorted(mults, key=lambda m: m.values):
-        for lower in range(mults[member]):
-            lowered = [a - (mults[member] - lower) * v for a, v in zip(acc, member.values)]
-            if all(a >= n for a in lowered):
-                mults[member] = lower
-                acc = lowered
-                break
+        # the largest drop keeping every point at n
+        drop = min([mults[member]] + [(a - n) // v for a, v in zip(acc, member.values) if v])
+        mults[member] -= drop
+        acc = [a - drop * v for a, v in zip(acc, member.values)]
 
     certificate = CoverCertificate(tuple((m, mult) for m, mult in mults.items() if mult))
     assert is_additive_cover(certificate)
@@ -119,66 +122,57 @@ def minimal_additive_cover_search(
     multiplicities in increasing order, pruned by an admissible per-point
     bound; the greedy certificate supplies the initial upper bound.  The first
     optimum found is then exactly the canonical tie-break: least total, then
-    lexicographically least multiplicity vector.
+    lexicographically least multiplicity vector.  A parent bounds each child
+    in its loop and descends only into survivors; each child counts one node.
     """
     members = family.members
-    k = len(members)
-    n = family.chain.n
-    size = family.carrier.size
+    n, size = family.chain.n, family.carrier.size
     greedy = find_additive_subcover(family)
     if greedy is None:
         return AdditiveCoverSearch(None, 0)
     # suffix_max[idx][x]: largest value at x among members[idx:]
-    suffix_max = [[0] * size for _ in range(k + 1)]
-    for idx in range(k - 1, -1, -1):
-        for x in range(size):
-            suffix_max[idx][x] = max(suffix_max[idx + 1][x], members[idx].values[x])
-
+    suffix_max = _suffixes(lambda a, e: tuple(map(max, a, e.values)), members, (0,) * size)
+    vector = [0] * len(members)  # the multiplicities on the path
     best_vector: list[int] | None = None
     bound = greedy.total_multiplicity + 1
-    nodes = 0
+    nodes = 1  # the root: its bound is positive and below the greedy total
 
-    def lower_bound(idx: int, residual: Sequence[int]) -> int | None:
-        worst = 0
-        row = suffix_max[idx]
-        for x in range(size):
-            r = residual[x]
-            if r > 0:
-                m = row[x]
-                if m == 0:
-                    return None
-                need = -(-r // m)
-                if need > worst:
-                    worst = need
-        return worst
-
-    def descend(idx: int, total: int, residual: list[int], chosen: list[int]) -> None:
+    def descend(idx: int, total: int, residual: list[int]) -> None:
         nonlocal nodes, bound, best_vector
-        nodes += 1
-        if nodes > max_nodes:
-            raise ResourceLimitError(
-                "additive-cover search exceeded the node cap",
-                limit=max_nodes,
-                reached=nodes,
-            )
-        lb = lower_bound(idx, residual)
-        if lb is None or total + lb >= bound:
-            return
-        if lb == 0:
-            # the all-zero continuation is the lexicographically least completion
-            best_vector = chosen + [0] * (k - idx)
-            bound = total
-            return
-        vals = members[idx].values
-        for m in range(0, n + 1):
-            nxt = [r - m * v for r, v in zip(residual, vals)] if m else residual
-            descend(idx + 1, total + m, nxt, chosen + [m])
+        vals, row = members[idx].values, suffix_max[idx + 1]
+        for m in range(n + 1):
+            room = bound - total - m
+            # the bound only falls: a child with no room and its larger siblings count as pruned
+            nodes += 1 if room > 0 else n + 1 - m
+            if nodes > max_nodes:
+                raise ResourceLimitError(
+                    "additive-cover search exceeded the node cap", limit=max_nodes, reached=max_nodes + 1
+                )
+            if room <= 0:
+                break
+            if m:
+                residual = [r - v for r, v in zip(residual, vals)]
+            lb = 0
+            for r, s in zip(residual, row):
+                if r > 0:
+                    need = -(-r // s) if s else room
+                    if need >= room:
+                        break
+                    if need > lb:
+                        lb = need
+            else:
+                vector[idx] = m
+                if lb:
+                    descend(idx + 1, total + m, residual)
+                else:
+                    # the all-zero continuation is the lexicographically least completion
+                    best_vector = vector.copy()
+                    bound = total + m
+        vector[idx] = 0
 
-    descend(0, 0, [n] * size, [])
+    descend(0, 0, [n] * size)
     assert best_vector is not None
-    certificate = CoverCertificate(
-        tuple((members[i], m) for i, m in enumerate(best_vector) if m > 0)
-    )
+    certificate = CoverCertificate(tuple((e, m) for e, m in zip(members, best_vector) if m))
     assert is_additive_cover(certificate)
     return AdditiveCoverSearch(certificate, nodes)
 
@@ -199,30 +193,21 @@ def minimal_subcover_search(
     canonical order returns, among the minimum-size covers, the one whose
     member index tuple is lexicographically least.
     """
-    members = family.members
-    k = len(members)
-    n = family.chain.n
-    # bit x of full[i] is set iff members[i] takes the top value at point x
-    full = [sum(1 << x for x, v in enumerate(m.values) if v == n) for m in members]
-    suffix_union = [0] * (k + 1)
-    suffix_best = [0] * (k + 1)
-    for idx in range(k - 1, -1, -1):
-        suffix_union[idx] = suffix_union[idx + 1] | full[idx]
-        suffix_best[idx] = max(suffix_best[idx + 1], full[idx].bit_count())
-    everything = (1 << family.carrier.size) - 1
+    # full[i] holds the guard bit of each lane where members[i] takes the top value
+    full = [*map(family.lanes.top_guards, family.packed)]
+    suffix_union = _suffixes(or_, full, 0)
+    suffix_best = _suffixes(max, [f.bit_count() for f in full], 0)
+    everything = family.lanes.guard
     if suffix_union[0] != everything:
         return SubcoverSearch(None, 0)
 
-    # greedy upper bound: most new points covered, canonical order on ties
-    uncovered = everything
-    greedy_size = 0
+    # the bound is one past the greedy size: most new points covered, canonical order on ties
+    uncovered, bound = everything, 1
     while uncovered:
-        best = max(range(k), key=lambda i: (full[i] & uncovered).bit_count())
-        uncovered &= ~full[best]
-        greedy_size += 1
+        uncovered &= ~max(full, key=lambda f: (f & uncovered).bit_count())
+        bound += 1
 
     best_choice: tuple[int, ...] | None = None
-    bound = greedy_size + 1
     nodes = 0
     # explicit stack, exclude child pushed first: nodes are visited in the
     # preorder of the include-first recursion, at any family size
@@ -238,7 +223,7 @@ def minimal_subcover_search(
             best_choice = chosen
             bound = len(chosen)
             continue
-        # suffix_union[k] is empty, so this also ends the search past the last member;
+        # the last suffix union is empty, so this also ends the search past the last member;
         # a coverable nonempty missing set makes suffix_best[idx] at least 1
         if missing & ~suffix_union[idx]:
             continue
@@ -250,7 +235,7 @@ def minimal_subcover_search(
 
     assert best_choice is not None
     subfamily = FuzzyFamily.of(
-        family.carrier, family.chain, (members[i] for i in best_choice)
+        family.carrier, family.chain, (family.members[i] for i in best_choice)
     )
     assert is_cover(subfamily)
     return SubcoverSearch(subfamily, nodes)

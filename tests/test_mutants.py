@@ -116,11 +116,11 @@ MUTANTS = [
     # branch whose residual is still open as if it were covered
     (
         "mincover-bound-up", covers, "minimal_additive_cover_search",
-        "need = -(-r // m)", "need = -(-r // m) + 1", SOLVER_MINIMA,
+        "need = -(-r // s)", "need = -(-r // s) + 1", SOLVER_MINIMA,
     ),
     (
         "mincover-bound-down", covers, "minimal_additive_cover_search",
-        "need = -(-r // m)", "need = -(-r // m) - 1", SOLVER_MINIMA,
+        "need = -(-r // s)", "need = -(-r // s) - 1", SOLVER_MINIMA,
     ),
     (
         "subcover-bound-up", covers, "minimal_subcover_search",
@@ -138,13 +138,19 @@ MUTANTS = [
     ),
     (
         "mincover-descending", covers, "minimal_additive_cover_search",
-        "for m in range(0, n + 1):", "for m in range(n, -1, -1):",
+        "for m in range(n + 1):", "for m in range(n, -1, -1):",
         test_acceptance.test_criterion_09_solver_optimality,
+    ),
+    # the node count: a child pruned with its larger siblings counts one sibling short
+    (
+        "mincover-batch-short", covers, "minimal_additive_cover_search",
+        "nodes += 1 if room > 0 else n + 1 - m", "nodes += 1 if room > 0 else n - m",
+        test_covers.test_every_cap_below_the_node_count_stops_the_search_at_the_cap,
     ),
 ]
 # mutant id -> the error its gate fails with where that is a crash, not an assertion:
-# where every point has a member at the top value, the bound at the root is 0, and the
-# search records the all-zero vector, an empty certificate
+# where every point has the top value in a member past the first, the bound of the root's
+# first child is 0, and the search records the all-zero vector, an empty certificate
 CRASHES = {"mincover-bound-down": InputError}
 
 
