@@ -79,8 +79,7 @@ def find_additive_subcover(family: FuzzyFamily) -> CoverCertificate | None:
     """
     if not has_additive_subcover(family):
         return None
-    n = family.chain.n
-    size = family.carrier.size
+    n, size = family.chain.n, family.carrier.size
     mults: dict[FuzzySet, int] = {}
     acc = [0] * size  # the running sum of the entries, before truncation at n
     for x in range(size):
@@ -130,8 +129,9 @@ def minimal_additive_cover_search(
     greedy = find_additive_subcover(family)
     if greedy is None:
         return AdditiveCoverSearch(None, 0)
-    # suffix_max[idx][x]: largest value at x among members[idx:]
-    suffix_max = _suffixes(lambda a, e: tuple(map(max, a, e.values)), members, (0,) * size)
+    # suffix_max[idx][x]: largest value at x among members[idx:]; rows before a top row are top
+    top = (n,) * size
+    suffix_max = _suffixes(lambda a, e: a if a == top else tuple(map(max, a, e.values)), members, (0,) * size)
     vector = [0] * len(members)  # the multiplicities on the path
     best_vector: list[int] | None = None
     bound = greedy.total_multiplicity + 1
@@ -234,9 +234,7 @@ def minimal_subcover_search(
         stack.append((idx + 1, chosen + (idx,), missing & ~full[idx]))
 
     assert best_choice is not None
-    subfamily = FuzzyFamily.of(
-        family.carrier, family.chain, (family.members[i] for i in best_choice)
-    )
+    subfamily = FuzzyFamily.of(family.carrier, family.chain, (family.members[i] for i in best_choice))
     assert is_cover(subfamily)
     return SubcoverSearch(subfamily, nodes)
 
@@ -274,7 +272,7 @@ def product_subbasic_subcover(
         per_factor[i].append(alpha)
 
     n = space.chain.n
-    gaps = [_first_uncovered(per_factor[j], f.carrier.size) for j, f in enumerate(factors)]
+    gaps = [_first_uncovered(p, f.carrier.size) for p, f in zip(per_factor, factors)]
     if None not in gaps:
         witness = space.carrier.label(space.index_of(tuple(gaps)))
         raise PreconditionError(
@@ -287,12 +285,9 @@ def product_subbasic_subcover(
     mults: dict[FuzzySet, int] = {}
     for x in range(factor.carrier.size):
         pick = next(a for a in listed if a.values[x] > 0)
-        needed = -(-n // pick.values[x])
-        mults[pick] = max(mults.get(pick, 0), needed)
+        mults[pick] = max(mults.get(pick, 0), -(-n // pick.values[x]))
 
     projection = space.projections[j]
-    certificate = CoverCertificate(
-        tuple((mv_preimage(projection, a), m) for a, m in mults.items())
-    )
+    certificate = CoverCertificate(tuple((mv_preimage(projection, a), m) for a, m in mults.items()))
     assert is_additive_cover(certificate)
     return ProductSubcover(j, certificate)
