@@ -118,28 +118,30 @@ def minimal_additive_cover_search(
     """Minimize total multiplicity subject to reaching the top value everywhere.
 
     Depth-first branch and bound over the members in canonical order, trying
-    multiplicities in increasing order, pruned by an admissible per-point
+    multiplicities in increasing order, pruned by an admissible lane-wise
     bound; the greedy certificate supplies the initial upper bound.  The first
     optimum found is then exactly the canonical tie-break: least total, then
     lexicographically least multiplicity vector.  A parent bounds each child
     in its loop and descends only into survivors; each child counts one node.
     """
-    members = family.members
-    n, size = family.chain.n, family.carrier.size
+    lanes, packed, n = family.lanes, family.packed, family.chain.n
     greedy = find_additive_subcover(family)
     if greedy is None:
         return AdditiveCoverSearch(None, 0)
-    # suffix_max[idx][x]: largest value at x among members[idx:]; rows before a top row are top
-    top = (n,) * size
-    suffix_max = _suffixes(lambda a, e: a if a == top else tuple(map(max, a, e.values)), members, (0,) * size)
-    vector = [0] * len(members)  # the multiplicities on the path
-    best_vector: list[int] | None = None
     bound = greedy.total_multiplicity + 1
+    # multiples[s][t] = t·s truncated at n, for s the lane-wise maximum of a suffix; no
+    # child's bound needs a t past n or past the greedy total
+    most = min(n, bound - 1)
+    suffix_max = _suffixes(lanes.join, packed, 0)
+    multiples = {s: [*accumulate([s] * most, lanes.oplus, initial=0)] for s in set(suffix_max)}
+    vector = [0] * len(packed)  # the multiplicities on the path
+    best_vector: list[int] | None = None
     nodes = 1  # the root: its bound is positive and below the greedy total
 
-    def descend(idx: int, total: int, residual: list[int]) -> None:
+    def descend(idx: int, total: int, residual: int) -> None:
+        # residual: n less the path's sum, truncated at 0, in each lane
         nonlocal nodes, bound, best_vector
-        vals, row = members[idx].values, suffix_max[idx + 1]
+        complement, row = lanes.top - packed[idx], multiples[suffix_max[idx + 1]]
         for m in range(n + 1):
             room = bound - total - m
             # the bound only falls: a child with no room and its larger siblings count as pruned
@@ -150,29 +152,20 @@ def minimal_additive_cover_search(
                 )
             if room <= 0:
                 break
-            if m:
-                residual = [r - v for r, v in zip(residual, vals)]
-            lb = 0
-            for r, s in zip(residual, row):
-                if r > 0:
-                    need = -(-r // s) if s else room
-                    if need >= room:
-                        break
-                    if need > lb:
-                        lb = need
-            else:
-                vector[idx] = m
-                if lb:
-                    descend(idx + 1, total + m, residual)
-                else:
-                    # the all-zero continuation is the lexicographically least completion
-                    best_vector = vector.copy()
-                    bound = total + m
+            vector[idx] = m
+            if not residual:
+                # the all-zero continuation is the lexicographically least completion
+                best_vector = vector.copy()
+                bound = total + m
+            # the multiples only grow: a t below room covers the residual iff room - 1 does
+            elif lanes.leq(residual, row[min(room - 1, most)]):
+                descend(idx + 1, total + m, residual)
+            residual = lanes.odot(residual, complement)
         vector[idx] = 0
 
-    descend(0, 0, [n] * size)
+    descend(0, 0, lanes.top)
     assert best_vector is not None
-    certificate = CoverCertificate(tuple((e, m) for e, m in zip(members, best_vector) if m))
+    certificate = CoverCertificate(tuple((e, m) for e, m in zip(family.members, best_vector) if m))
     assert is_additive_cover(certificate)
     return AdditiveCoverSearch(certificate, nodes)
 

@@ -3,8 +3,7 @@ and of the cover solvers.
 
 Each mutant is the real function recompiled from its source with one edit.  It
 replaces the function wherever a module binds it by name, and only the gate
-that names it is run against it: the gate must fail, by a failed assertion or
-by the crash its row names in `CRASHES`.
+that names it is run against it: the gate must fail, by a failed assertion.
 """
 
 import sys
@@ -16,7 +15,7 @@ import test_cli
 import test_covers
 import test_lanes
 import test_topology
-from mvtop import InputError, core, covers, topology
+from mvtop import core, covers, topology
 from test_families import planted
 
 
@@ -42,6 +41,7 @@ SEEDED_GENERATION = test_topology.test_generation_matches_naive_oracle_on_sample
 BROKEN_FAMILIES = test_lanes.test_violation_on_broken_families_matches_reference_scan
 SEEDED_HAUSDORFF = test_lanes.test_closed_form_hausdorff_matches_the_pair_search_on_seeded_topologies
 SOLVER_MINIMA = test_covers.test_solvers_match_exhaustive_minima
+SMALL_SCOPE = test_covers.test_both_solvers_match_their_oracles_on_every_small_family
 
 # (id, owner, name, old, new, gate)
 MUTANTS = [
@@ -112,15 +112,22 @@ MUTANTS = [
         "lanes-oplus", core.Lanes, "oplus",
         "(s ^ self.top) & (g - (g >> self.shift))", "(s ^ self.top) & g", lane_ops_at_the_edges,
     ),
-    # the solvers' bounds one off: too large prunes the optimum; too small ends a
-    # branch whose residual is still open as if it were covered
+    # the solvers' bounds one too large: they prune the optimum
     (
         "mincover-bound-up", covers, "minimal_additive_cover_search",
-        "need = -(-r // s)", "need = -(-r // s) + 1", SOLVER_MINIMA,
+        "lanes.leq(residual, row[min(room - 1, most)])",
+        "room > 1 and lanes.leq(residual, row[min(room - 2, most)])", SOLVER_MINIMA,
     ),
+    # too small only enters children that lead nowhere: the answers stay, the node counts move
     (
         "mincover-bound-down", covers, "minimal_additive_cover_search",
-        "need = -(-r // s)", "need = -(-r // s) - 1", SOLVER_MINIMA,
+        "row[min(room - 1, most)]", "row[min(room, most)]",
+        test_covers.test_search_results_nodes_and_cap_errors_are_pinned,
+    ),
+    # the residual of a multiple taken as a meet, not as a truncated difference
+    (
+        "mincover-residual", covers, "minimal_additive_cover_search",
+        "lanes.odot(residual, complement)", "lanes.meet(residual, complement)", SMALL_SCOPE,
     ),
     (
         "subcover-bound-up", covers, "minimal_subcover_search",
@@ -148,14 +155,10 @@ MUTANTS = [
         test_covers.test_every_cap_below_the_node_count_stops_the_search_at_the_cap,
     ),
 ]
-# mutant id -> the error its gate fails with where that is a crash, not an assertion:
-# where every point has the top value in a member past the first, the bound of the root's
-# first child is 0, and the search records the all-zero vector, an empty certificate
-CRASHES = {"mincover-bound-down": InputError}
 
 
 @pytest.mark.parametrize("mutant, owner, name, old, new, gate", MUTANTS, ids=[row[0] for row in MUTANTS])
 def test_a_planted_mutant_fails_its_gate(monkeypatch, mutant, owner, name, old, new, gate):
     plant(monkeypatch, owner, name, old, new)
-    with pytest.raises(CRASHES.get(mutant, AssertionError)):
+    with pytest.raises(AssertionError):
         gate()
