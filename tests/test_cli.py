@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -673,6 +674,8 @@ SUITE = {"mvtop.suites", "mvtop.generators"}
 PRODUCT = {"mvtop.product"}
 PRODUCTS = SUITE | {"mvtop.suite_products"}
 
+# the modules that `import mvtop.cli` loads, and so every command
+COMMON = {"mvtop.core", "mvtop.errors", "mvtop.topology"}
 # argv -> the watched modules it needs, beyond those every command loads
 LOADS = {
     ("gen", "space.json"): DOCUMENTS,
@@ -774,11 +777,10 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     for name, obj in LOAD_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     # runpy runs mvtop.cli as __main__; the package binds nothing at import
-    common = {"mvtop.core", "mvtop.errors", "mvtop.topology"}
     for argv, needed in LOADS.items():
         code, stderr, loaded = load_probe(argv, tmp_path)
         assert (code, stderr) in {("0", ""), ("1", "")}, argv
-        assert loaded == common | needed, argv
+        assert loaded == COMMON | needed, argv
         # the table parser reads every well-formed argv, and no command evaluates terms
         assert not loaded & (ARGPARSE | {"mvtop.terms"}), argv
         assert compiled_source_bytes(loaded) <= SOURCE_CEILINGS[argv], argv
@@ -799,8 +801,54 @@ def test_importing_the_cli_loads_no_command(tmp_path):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     loaded = set(proc.stdout.split()) - {"mvtop.cli"}
-    assert loaded == {"mvtop.core", "mvtop.errors", "mvtop.topology"}
+    assert loaded == COMMON
     assert compiled_source_bytes(loaded) <= IMPORT_SOURCE_CEILING
+
+
+def request_name(argv):
+    """An argv as README's compiled-bytes table names it: no file, and no `verify` flag."""
+    words = [w for w in argv if not w.endswith(".json")]
+    return " ".join(words[:2] if words[0] == "verify" else words)
+
+
+IMPORT_ROW = "`import mvtop.cli` (every request, before dispatch)"
+# README's compiled-bytes table: the first cell of each row -> the request names it stands for
+BYTES_TABLE = {
+    "`gen`": {"gen"},
+    "`check`, every kind without `--oracle`": {
+        request_name(argv) for argv in LOADS if argv[0] == "check" and "--oracle" not in argv
+    },
+    "`check compact --oracle`": {"check compact --oracle"},
+    "`check strong-compact --oracle`": {"check strong-compact --oracle"},
+    "`product`, with or without `--subbase-only`": {"product", "product --subbase-only"},
+    "`mincover`, `subcover`": {"mincover", "subcover"},
+    "`metric`, with or without `--subbase-only`": {"metric", "metric --subbase-only"},
+    "`continuity`": {"continuity"},
+    "`verify algebra`": {"verify algebra"},
+    "`verify generation`": {"verify generation"},
+    "`verify continuity`": {"verify continuity"},
+    "`verify alexander-claims`": {"verify alexander-claims"},
+    "`verify hausdorff-product`, `zerodim-product`, `stone-product`": {
+        "verify hausdorff-product", "verify zerodim-product", "verify stone-product"
+    },
+    "`verify tychonoff`, `lemma1`": {"verify tychonoff", "verify lemma1"},
+}
+
+
+def test_the_readme_compiled_bytes_table_is_current():
+    # each row is the bytes of the modules that the two tests above pin for its
+    # requests, so a module that grows or shrinks cannot leave the table stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| (.+) \| ([\d,]+) \|$", readme, re.M))
+    assert rows.pop(IMPORT_ROW) == f"{compiled_source_bytes(COMMON):,}"
+    assert set(rows) == set(BYTES_TABLE)
+    covered = []
+    for label, names in BYTES_TABLE.items():
+        argvs = [argv for argv in LOADS if request_name(argv) in names]
+        assert {request_name(argv) for argv in argvs} == names, label
+        assert {f"{compiled_source_bytes(COMMON | LOADS[argv]):,}" for argv in argvs} == {rows[label]}, label
+        covered += argvs
+    assert sorted(covered) == sorted(LOADS)
 
 
 def test_every_runner_and_suite_case_resolves():
