@@ -3,10 +3,8 @@
 Additive covers are finite multisets of fuzzy sets whose truncated sum is the
 unit set.  Over a finite chain a multiplicity beyond the chain resolution n
 never helps (scalar multiples saturate), which bounds every search to
-multiplicity vectors in 0..n and is the key solver decision.  The cover and
-compactness deciders live in `topology`, so that `check` runs them without
-loading the solvers; of them this module imports only `has_additive_subcover`
-and `is_cover` (and the private `_first_uncovered`).
+multiplicity vectors in 0..n.  The cover and compactness deciders live in
+`topology`, so that `check` runs them without loading the solvers.
 """
 
 from __future__ import annotations
@@ -129,11 +127,22 @@ def minimal_additive_cover_search(
     if greedy is None:
         return AdditiveCoverSearch(None, 0)
     bound = greedy.total_multiplicity + 1
-    # multiples[s][t] = t·s truncated at n, for s the lane-wise maximum of a suffix; no
-    # child's bound needs a t past n or past the greedy total
-    most = min(n, bound - 1)
     suffix_max = _suffixes(lanes.join, packed, 0)
-    multiples = {s: [*accumulate([s] * most, lanes.oplus, initial=0)] for s in set(suffix_max)}
+    memo = {}
+
+    def times(s, t):
+        # t·s truncated at n, by doubling; the memo holds at most 4096 entries
+        key, acc = (s, t), 0
+        if key not in memo:
+            if len(memo) >= 4096:
+                memo.clear()
+            while t:
+                if t & 1:
+                    acc = lanes.oplus(acc, s)
+                s, t = lanes.oplus(s, s), t >> 1
+            memo[key] = acc
+        return memo[key]
+
     vector = [0] * len(packed)  # the multiplicities on the path
     best_vector: list[int] | None = None
     nodes = 1  # the root: its bound is positive and below the greedy total
@@ -141,7 +150,7 @@ def minimal_additive_cover_search(
     def descend(idx: int, total: int, residual: int) -> None:
         # residual: n less the path's sum, truncated at 0, in each lane
         nonlocal nodes, bound, best_vector
-        complement, row = lanes.top - packed[idx], multiples[suffix_max[idx + 1]]
+        complement, later = lanes.top - packed[idx], suffix_max[idx + 1]
         for m in range(n + 1):
             room = bound - total - m
             # the bound only falls: a child with no room and its larger siblings count as pruned
@@ -158,7 +167,7 @@ def minimal_additive_cover_search(
                 best_vector = vector.copy()
                 bound = total + m
             # the multiples only grow: a t below room covers the residual iff room - 1 does
-            elif lanes.leq(residual, row[min(room - 1, most)]):
+            elif later and lanes.leq(residual, times(later, min(room - 1, n))):
                 descend(idx + 1, total + m, residual)
             residual = lanes.odot(residual, complement)
         vector[idx] = 0

@@ -571,6 +571,25 @@ def test_the_ball_family_stops_at_the_default_cap(tmp_path):
         assert run_process(argv, tmp_path, preexec_fn=bounded) == (3, "", error)
 
 
+def test_a_wide_family_on_a_long_chain_stops_at_the_default_node_cap(tmp_path):
+    # 24 unit vectors on a chain of 10^6: the greedy total is 24·10^6, so a table
+    # of every multiple of every suffix join up to n would not fit in 512 MB
+    # before the first node; the search must reach the cap's exit 3 instead
+    import resource
+
+    k = 24
+    family = {"chain": 1_000_000, "points": [f"p{i}" for i in range(k)],
+              "family": [[int(i == j) for j in range(k)] for i in range(k)]}
+    (tmp_path / "family.json").write_text(doc(family))
+    limit = 512 * 2**20
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    error = "error: additive-cover search exceeded the node cap (cap 1000000, reached 1000001)\n"
+    assert run_process(["mincover", "family.json"], tmp_path, preexec_fn=bounded) == (3, "", error)
+
+
 @pytest.mark.parametrize(
     "centers, radii, message",
     [

@@ -115,14 +115,19 @@ MUTANTS = [
     # the solvers' bounds one too large: they prune the optimum
     (
         "mincover-bound-up", covers, "minimal_additive_cover_search",
-        "lanes.leq(residual, row[min(room - 1, most)])",
-        "room > 1 and lanes.leq(residual, row[min(room - 2, most)])", SOLVER_MINIMA,
+        "times(later, min(room - 1, n))",
+        "room > 1 and times(later, min(room - 2, n))", SOLVER_MINIMA,
     ),
     # too small only enters children that lead nowhere: the answers stay, the node counts move
     (
         "mincover-bound-down", covers, "minimal_additive_cover_search",
-        "row[min(room - 1, most)]", "row[min(room, most)]",
+        "times(later, min(room - 1, n))", "times(later, min(room, n))",
         test_covers.test_search_results_nodes_and_cap_errors_are_pinned,
+    ),
+    # a multiple of a suffix join that adds the join again instead of doubling it
+    (
+        "mincover-multiple", covers, "minimal_additive_cover_search",
+        "s, t = lanes.oplus(s, s), t >> 1", "t >>= 1", SMALL_SCOPE,
     ),
     # the residual of a multiple taken as a meet, not as a truncated difference
     (
