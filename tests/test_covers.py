@@ -188,6 +188,14 @@ def test_minimal_additive_cover_partition():
     assert best.total_multiplicity == 2
 
 
+def test_minimal_additive_cover_past_a_full_memo_of_multiples():
+    # once n·(1,1) sets the bound, each child of (1,0) asks for another multiple
+    # of (1,1), about 10^4 in all, so the memo of multiples is cleared on the way
+    result = minimal_additive_cover_search(family(AB, Chain(5000), (0, 1), (1, 0), (1, 1)))
+    assert entries(result.certificate) == [((1, 1), 5000)]
+    assert result.nodes == 15004
+
+
 def test_minimal_subcover_unit_wins():
     sub = minimal_subcover_search(family(AB, CH1, (1, 0), (0, 1), (1, 1))).subcover
     assert [m.values for m in sub] == [(1, 1)]
